@@ -10,6 +10,7 @@ order always matching input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,12 @@ from . import convert, gtgen, metrics, readorder
 from .model import (
     Category,
     Document,
+    _require_dict,
+    _require_list,
+    _require_page_size,
+    _require_str,
     bbox_from_value,
+    bbox_to_list,
     document_from_dict,
     document_to_dict,
     validate_document,
@@ -64,10 +70,7 @@ def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], lis
     docs: list[Document] = []
     ids: list[Any] = []
     for lineno, obj in _load_objects(path):
-        try:
-            docs.append(document_from_dict(obj))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        docs.append(document_from_dict(obj, where=f"{path}:{lineno}"))
         if key is not None:
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"{path}:{lineno}: missing alignment key {key!r}")
@@ -130,9 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _align_by_key(
-    gt: list[Document], gt_ids: list, pred: list[Document], pred_ids: list, key: str
-) -> tuple[list[Document], list[Document]]:
+def _align_by_key(gt_ids: list, pred: list[Document], pred_ids: list, key: str) -> list[Document]:
     pred_by_id: dict[Any, Document] = {}
     for pid, doc in zip(pred_ids, pred):
         if pid in pred_by_id:
@@ -143,42 +144,20 @@ def _align_by_key(
         if gid not in pred_by_id:
             raise ValueError(f"no predicted document with {key!r} == {gid!r}")
         aligned.append(pred_by_id[gid])
-    return gt, aligned
+    return aligned
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt_docs, gt_ids = _load_corpus(args.gt, args.key)
     pred_docs, pred_ids = _load_corpus(args.pred, args.key)
     if args.key is not None:
-        gt_docs, pred_docs = _align_by_key(gt_docs, gt_ids, pred_docs, pred_ids, args.key)
-    if len(gt_docs) != len(pred_docs):
-        raise ValueError(
-            f"corpus length mismatch: {len(gt_docs)} ground-truth vs "
-            f"{len(pred_docs)} predicted documents"
-        )
-    if not gt_docs:
-        raise ValueError("corpora must contain at least one document")
-    jobs = _job_count(args)
-    pairs = list(zip(gt_docs, pred_docs))
-    want_dsm = args.metric in ("dsm", "both")
-    want_ned = args.metric in ("ned", "both")
-    scores: tuple[metrics.DocumentScore, ...] = ()
-    dsm_value = None
-    ned_value = None
-    if want_dsm:
-        scores = tuple(_pmap(lambda gp: metrics.document_score(*gp), pairs, jobs))
-        dsm_value = 1.0 - sum(s.normalized for s in scores) / len(scores)
-    if want_ned:
-        ned_values = _pmap(
-            lambda gp: metrics.ned_similarity(
-                convert.to_markdown(gp[0]), convert.to_markdown(gp[1])
-            ),
-            pairs,
-            jobs,
-        )
-        ned_value = sum(ned_values) / len(ned_values)
-    report = metrics.EvalReport(
-        per_document=scores, dsm=dsm_value, ned=ned_value, corpus_size=len(pairs)
+        pred_docs = _align_by_key(gt_ids, pred_docs, pred_ids, args.key)
+    report = metrics.evaluate(
+        gt_docs,
+        pred_docs,
+        compute_dsm=args.metric in ("dsm", "both"),
+        compute_ned=args.metric in ("ned", "both"),
+        map=functools.partial(_pmap, jobs=_job_count(args)),
     )
     print(json.dumps(_round_floats(report.to_dict())))
     return 0
@@ -229,45 +208,30 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _parse_gtgen_input(obj: Any, where: str) -> tuple[list, list, float, float]:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object")
-    for field in ("page_width", "page_height"):
-        if field not in obj:
-            raise ValueError(f"{where}: missing {field}")
-    width, height = obj["page_width"], obj["page_height"]
-    for name, value in (("page_width", width), ("page_height", height)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{where}.{name}: expected a number")
+    obj = _require_dict(obj, where)
+    width, height = _require_page_size(obj, where)
     elements = []
-    raw_elements = obj.get("elements", [])
-    if not isinstance(raw_elements, list):
-        raise ValueError(f"{where}.elements: expected a list")
-    for i, item in enumerate(raw_elements):
-        if not isinstance(item, dict):
-            raise ValueError(f"{where}.elements[{i}]: expected an object")
-        category = Category.from_name(item.get("category"))
-        bbox = bbox_from_value(item.get("bbox"), f"{where}.elements[{i}].bbox")
-        elements.append((category, bbox))
+    for i, item in enumerate(_require_list(obj.get("elements", []), f"{where}.elements")):
+        sub = f"{where}.elements[{i}]"
+        item = _require_dict(item, sub)
+        category = Category.from_name(_require_str(item.get("category"), f"{sub}.category"))
+        elements.append((category, bbox_from_value(item.get("bbox"), f"{sub}.bbox")))
     lines = []
-    raw_lines = obj.get("lines", [])
-    if not isinstance(raw_lines, list):
-        raise ValueError(f"{where}.lines: expected a list")
-    for i, item in enumerate(raw_lines):
-        if not isinstance(item, dict):
-            raise ValueError(f"{where}.lines[{i}]: expected an object")
-        bbox = bbox_from_value(item.get("bbox"), f"{where}.lines[{i}].bbox")
-        text = item.get("text", "")
-        if not isinstance(text, str):
-            raise ValueError(f"{where}.lines[{i}].text: expected a string")
-        lines.append(gtgen.RawLine(bbox=bbox, text=text))
-    return elements, lines, float(width), float(height)
+    for i, item in enumerate(_require_list(obj.get("lines", []), f"{where}.lines")):
+        sub = f"{where}.lines[{i}]"
+        item = _require_dict(item, sub)
+        lines.append(
+            gtgen.RawLine(
+                bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
+                text=_require_str(item.get("text", ""), f"{sub}.text"),
+            )
+        )
+    return elements, lines, width, height
 
 
 def _cmd_gtgen(args: argparse.Namespace) -> int:
     order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
-    assoc_cfg = gtgen.AssocConfig(
-        iou_threshold=args.iou_threshold, fuzzy_threshold=args.fuzzy_threshold
-    )
+    assoc_cfg = gtgen.AssocConfig(iou_threshold=args.iou_threshold)
     rows = _load_objects(args.input)
     jobs = _job_count(args)
 
@@ -279,16 +243,7 @@ def _cmd_gtgen(args: argparse.Namespace) -> int:
         )
         out = document_to_dict(result.document)
         out["unassigned"] = [
-            {
-                "index": i,
-                "bbox": [
-                    lines[i].bbox.x_min,
-                    lines[i].bbox.y_min,
-                    lines[i].bbox.x_max,
-                    lines[i].bbox.y_max,
-                ],
-                "text": lines[i].text,
-            }
+            {"index": i, "bbox": bbox_to_list(lines[i].bbox), "text": lines[i].text}
             for i in result.unassigned
         ]
         return json.dumps(_round_floats(out))
@@ -347,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gtgen.add_argument("--min-gap", type=float, default=5.0)
     p_gtgen.add_argument("--y-tolerance", type=float, default=10.0)
     p_gtgen.add_argument("--iou-threshold", type=float, default=0.5)
-    p_gtgen.add_argument("--fuzzy-threshold", type=float, default=0.9)
     p_gtgen.add_argument("--jobs", type=int, default=None)
     p_gtgen.set_defaults(func=_cmd_gtgen)
 

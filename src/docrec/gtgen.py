@@ -22,7 +22,7 @@ from .model import (
     TableContent,
     TextLine,
 )
-from .readorder import OrderConfig, xy_cut_order
+from .readorder import OrderConfig, row_bands, xy_cut_order
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,10 @@ class RawLine:
 @dataclass(frozen=True)
 class AssocConfig:
     iou_threshold: float = 0.5
-    fuzzy_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         if not 0 < self.iou_threshold <= 1:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
-        if not 0 <= self.fuzzy_threshold <= 1:
-            raise ValueError(f"fuzzy_threshold must be in [0, 1], got {self.fuzzy_threshold}")
 
 
 def associate_lines(
@@ -122,44 +119,13 @@ def _consolidate_lines(
     Fragments whose tops fall in the same y-band are pieces of one visual
     line: their boxes merge and their texts join left to right.
     """
-    if not owned:
-        return ()
-    by_top = sorted(
-        range(len(owned)),
-        key=lambda i: (
-            owned[i].bbox.y_min,
-            owned[i].bbox.x_min,
-            owned[i].bbox.x_max,
-            owned[i].bbox.y_max,
-        ),
+    return tuple(
+        TextLine(
+            bbox=merge_boxes([owned[i].bbox for i in band]),
+            text=" ".join(owned[i].text for i in band),
+        )
+        for band in row_bands([line.bbox for line in owned], y_tolerance)
     )
-    bands: list[list[int]] = []
-    anchor = None
-    for i in by_top:
-        y = owned[i].bbox.y_min
-        if anchor is None or y - anchor > y_tolerance:
-            bands.append([i])
-            anchor = y
-        else:
-            bands[-1].append(i)
-    lines = []
-    for band in bands:
-        members = sorted(
-            band,
-            key=lambda i: (
-                owned[i].bbox.x_min,
-                owned[i].bbox.y_min,
-                owned[i].bbox.x_max,
-                owned[i].bbox.y_max,
-            ),
-        )
-        lines.append(
-            TextLine(
-                bbox=merge_boxes([owned[i].bbox for i in members]),
-                text=" ".join(owned[i].text for i in members),
-            )
-        )
-    return tuple(lines)
 
 
 _EMPTY_CONTENT = {

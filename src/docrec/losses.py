@@ -22,11 +22,6 @@ from .model import BoundingBox, Category
 #: Floor applied to probabilities before taking logs.
 LOG_EPS = 1e-9
 
-#: Reference confidence threshold for keeping element queries at inference
-#: time. Inference itself is out of scope here; the constant documents the
-#: convention for code that consumes these predictions.
-DEFAULT_CONFIDENCE_FILTER = 0.8
-
 #: Class-probability column order; the last column scores "no element here".
 CLASS_ORDER = (Category.PARAGRAPH, Category.TABLE, Category.FORMULA, Category.FIGURE)
 NO_OBJECT_INDEX = len(CLASS_ORDER)

@@ -11,7 +11,7 @@ alongside for text-only comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -166,22 +166,9 @@ def document_score(gt: Document, pred: Document) -> DocumentScore:
     return DocumentScore(d, n, d / n)
 
 
-def _check_aligned(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> None:
-    if len(gt_corpus) != len(pred_corpus):
-        raise ValueError(
-            f"corpus length mismatch: {len(gt_corpus)} ground-truth vs "
-            f"{len(pred_corpus)} predicted documents"
-        )
-    if len(gt_corpus) == 0:
-        raise ValueError("corpora must contain at least one document")
-
-
 def dsm(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> EvalReport:
     """Document similarity over index-aligned corpora, in [0, 1]; 1 is identity."""
-    _check_aligned(gt_corpus, pred_corpus)
-    scores = tuple(document_score(g, p) for g, p in zip(gt_corpus, pred_corpus))
-    value = 1.0 - sum(s.normalized for s in scores) / len(scores)
-    return EvalReport(scores, dsm=value, ned=None, corpus_size=len(scores))
+    return evaluate(gt_corpus, pred_corpus, compute_ned=False)
 
 
 def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
@@ -194,12 +181,7 @@ def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
 
 def corpus_ned(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> float:
     """Mean markdown-level similarity over index-aligned corpora (higher is better)."""
-    _check_aligned(gt_corpus, pred_corpus)
-    values = [
-        ned_similarity(to_markdown(g), to_markdown(p))
-        for g, p in zip(gt_corpus, pred_corpus)
-    ]
-    return sum(values) / len(values)
+    return evaluate(gt_corpus, pred_corpus, compute_dsm=False).ned
 
 
 def evaluate(
@@ -207,14 +189,31 @@ def evaluate(
     pred_corpus: Sequence[Document],
     compute_dsm: bool = True,
     compute_ned: bool = True,
+    map: Callable[[Callable, Sequence], Iterable] = map,
 ) -> EvalReport:
-    """Corpus evaluation combining both metrics as requested."""
-    _check_aligned(gt_corpus, pred_corpus)
+    """Corpus evaluation combining both metrics as requested.
+
+    ``map(fn, pairs)`` applies a per-pair scorer to the list of (gt, pred)
+    pairs and must yield results in input order; pass an order-preserving
+    parallel map to spread the per-document work.
+    """
+    if len(gt_corpus) != len(pred_corpus):
+        raise ValueError(
+            f"corpus length mismatch: {len(gt_corpus)} ground-truth vs "
+            f"{len(pred_corpus)} predicted documents"
+        )
+    if len(gt_corpus) == 0:
+        raise ValueError("corpora must contain at least one document")
+    pairs = list(zip(gt_corpus, pred_corpus))
     scores: tuple[DocumentScore, ...] = ()
     dsm_value = None
+    ned_value = None
     if compute_dsm:
-        report = dsm(gt_corpus, pred_corpus)
-        scores = report.per_document
-        dsm_value = report.dsm
-    ned_value = corpus_ned(gt_corpus, pred_corpus) if compute_ned else None
-    return EvalReport(scores, dsm=dsm_value, ned=ned_value, corpus_size=len(gt_corpus))
+        scores = tuple(map(lambda gp: document_score(*gp), pairs))
+        dsm_value = 1.0 - sum(s.normalized for s in scores) / len(scores)
+    if compute_ned:
+        values = list(
+            map(lambda gp: ned_similarity(to_markdown(gp[0]), to_markdown(gp[1])), pairs)
+        )
+        ned_value = sum(values) / len(values)
+    return EvalReport(scores, dsm=dsm_value, ned=ned_value, corpus_size=len(pairs))

@@ -285,6 +285,15 @@ def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
     return BoundingBox(*coords)
 
 
+def _require_page_size(data: dict, where: str) -> tuple[float, float]:
+    """The required ``page_width``/``page_height`` fields of a page object."""
+    if "page_width" not in data or "page_height" not in data:
+        raise ValueError(f"{where}: missing page_width/page_height")
+    width = _require_number(data["page_width"], f"{where}.page_width")
+    height = _require_number(data["page_height"], f"{where}.page_height")
+    return width, height
+
+
 def _content_to_dict(content: Transcription) -> dict:
     if isinstance(content, ParagraphContent):
         return {
@@ -372,10 +381,7 @@ def document_from_dict(data: Any, where: str = "document") -> Document:
     top-level keys (e.g. an alignment ``id``) are ignored.
     """
     data = _require_dict(data, where)
-    if "page_width" not in data or "page_height" not in data:
-        raise ValueError(f"{where}: missing page_width/page_height")
-    width = _require_number(data["page_width"], f"{where}.page_width")
-    height = _require_number(data["page_height"], f"{where}.page_height")
+    width, height = _require_page_size(data, where)
     elements = []
     for i, item in enumerate(_require_list(data.get("elements", []), f"{where}.elements")):
         item = _require_dict(item, f"{where}.elements[{i}]")

@@ -29,34 +29,37 @@ class OrderConfig:
             raise ValueError(f"y_tolerance must be >= 0, got {self.y_tolerance}")
 
 
-def fallback_sort(boxes: Sequence[BoundingBox], y_tolerance: float) -> list[int]:
-    """Row-band sort: group boxes whose y_min lies within ``y_tolerance`` of the
-    band's anchor (the band's first, topmost y_min), then order bands top to
-    bottom and boxes within a band left to right. Returns input indices."""
-    n = len(boxes)
+def row_bands(boxes: Sequence[BoundingBox], y_tolerance: float) -> list[list[int]]:
+    """Group box indices into rows, top to bottom, each row left to right.
+
+    Taken in (y_min, x_min, x_max, y_max) order, a box joins the current band
+    when its y_min lies within ``y_tolerance`` of the band's anchor (the
+    band's first, topmost y_min), and starts a new band otherwise.
+    """
     by_top = sorted(
-        range(n),
+        range(len(boxes)),
         key=lambda i: (boxes[i].y_min, boxes[i].x_min, boxes[i].x_max, boxes[i].y_max),
     )
-    band_of = [0] * n
-    band = -1
+    bands: list[list[int]] = []
     anchor = None
     for i in by_top:
         y = boxes[i].y_min
         if anchor is None or y - anchor > y_tolerance:
-            band += 1
+            bands.append([])
             anchor = y
-        band_of[i] = band
-    return sorted(
-        range(n),
-        key=lambda i: (
-            band_of[i],
-            boxes[i].x_min,
-            boxes[i].y_min,
-            boxes[i].x_max,
-            boxes[i].y_max,
-        ),
-    )
+        bands[-1].append(i)
+    return [
+        sorted(
+            band,
+            key=lambda i: (boxes[i].x_min, boxes[i].y_min, boxes[i].x_max, boxes[i].y_max),
+        )
+        for band in bands
+    ]
+
+
+def fallback_sort(boxes: Sequence[BoundingBox], y_tolerance: float) -> list[int]:
+    """Row-band sort: the indices of ``row_bands`` read band after band."""
+    return [i for band in row_bands(boxes, y_tolerance) for i in band]
 
 
 def _split_groups(

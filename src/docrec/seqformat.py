@@ -353,8 +353,10 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
 # newline. A real newline appears only after <Sep>, grouping one element
 # per line.
 
-_TD_TAG_RE = re.compile(r'^td(?: rowspan="(\d+)")?(?: colspan="(\d+)")?$')
-_DIGITS_RE = re.compile(r"^[0-9]+$")
+# Canonical decimal: ASCII digits, no leading zero, so each number has one text.
+_UINT = r"(?:0|[1-9][0-9]*)"
+_TD_TAG_RE = re.compile(rf'td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?')
+_DIGITS_RE = re.compile(_UINT)
 _CATEGORY_NAMES = {cat.value: cat for cat in Category}
 _ESCAPES = {"n": "\n", "\\": "\\", "<": "<"}
 
@@ -424,14 +426,14 @@ def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
             elif body == "\\n":
                 tokens.append(LineSepTok())
                 axis_run = 0
-            elif _DIGITS_RE.match(body):
+            elif _DIGITS_RE.fullmatch(body):
                 tokens.append(CoordTok(AXES[axis_run % 4], int(body)))
                 axis_run += 1
             elif body in ("tr", "/tr", "/td"):
                 tokens.append(HtmlTagTok(body))
                 axis_run = 0
             else:
-                match = _TD_TAG_RE.match(body)
+                match = _TD_TAG_RE.fullmatch(body)
                 if match is None:
                     raise ScanError(i, f"unknown tag <{body}>")
                 rowspan = int(match.group(1)) if match.group(1) else None

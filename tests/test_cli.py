@@ -257,3 +257,34 @@ def test_order_round_trips_through_its_own_output(tmp_path, capsys):
     assert main(["order", src, "-o", str(out1)]) == 0
     assert main(["order", str(out1), "-o", str(out2)]) == 0
     assert out1.read_text(encoding="utf-8") == out2.read_text(encoding="utf-8")
+
+
+_GTGEN_PAGE = {
+    "page_width": 100.0,
+    "page_height": 100.0,
+    "elements": [{"category": "Paragraph", "bbox": [0, 0, 50, 50]}],
+    "lines": [{"bbox": [5, 5, 45, 15], "text": "x"}],
+}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda page: [page], "object"),
+        (lambda page: {k: v for k, v in page.items() if k != "page_height"}, "page_height"),
+        (lambda page: {**page, "page_width": "100"}, "page_width"),
+        (lambda page: {**page, "elements": {}}, "elements"),
+        (lambda page: {**page, "lines": [{"bbox": [5, 5, 45, 15], "text": 7}]}, "lines[0].text"),
+        (
+            lambda page: {**page, "elements": [{"category": "Paragraph", "bbox": [0, 0, 50]}]},
+            "elements[0].bbox",
+        ),
+    ],
+)
+def test_gtgen_malformed_input(tmp_path, capsys, change, field):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(change(_GTGEN_PAGE)) + "\n", encoding="utf-8")
+    assert main(["gtgen", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:1" in err
+    assert field in err

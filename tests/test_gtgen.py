@@ -28,8 +28,6 @@ def box(x0, y0, x1, y1):
 def test_assoc_config_validation():
     with pytest.raises(ValueError):
         AssocConfig(iou_threshold=0)
-    with pytest.raises(ValueError):
-        AssocConfig(fuzzy_threshold=1.5)
 
 
 def test_associate_line_fully_inside():

@@ -355,6 +355,22 @@ def test_scan_unknown_tag():
     assert err.value.offset == 3
 
 
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("<1\n>", "<1>"),
+        ("<0001>", "<1>"),
+        ("<00>", "<0>"),
+        ("<td\n>", "<td>"),
+        ('<td rowspan="\u0662">', '<td rowspan="2">'),
+    ],
+)
+def test_scan_rejects_non_canonical_tags(text, canonical):
+    with pytest.raises(ScanError):
+        scan_tokens(text)
+    assert render_tokens(scan_tokens(canonical)) == canonical
+
+
 def test_scan_unterminated_tag_and_bad_escape():
     with pytest.raises(ScanError):
         scan_tokens("<Figure")
