@@ -1,10 +1,10 @@
 """Command-line interface: validate, eval, convert, order, gtgen.
 
-Documents travel as newline-delimited JSON (one document object per line,
-UTF-8). Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 bad input (validation/parse failures), 2 usage errors. Per-document work
-runs on up to ``--jobs`` threads (default from DOCREC_JOBS), with output
-order always matching input order.
+Documents travel as newline-delimited JSON: one document object per line,
+UTF-8, lines separated by "\\n" only. Results go to stdout, diagnostics to
+stderr. Exit codes: 0 success, 1 bad input (validation/parse failures,
+non-finite numbers), 2 usage errors. Per-document work runs on up to
+``--jobs`` threads, with output order always matching input order.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence
 
 from . import convert, gtgen, metrics, readorder
 from .model import (
@@ -33,6 +32,9 @@ from .model import (
 )
 from .seqformat import parse as parse_tokens
 from .seqformat import scan_tokens
+
+#: One decoded input line: its "path:line" location and its JSON value.
+Item = tuple[str, Any]
 
 
 def _round_floats(value: Any) -> Any:
@@ -53,58 +55,48 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_objects(path: str) -> list[tuple[int, Any]]:
-    """Parse a newline-delimited JSON file into (line number, object) pairs."""
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_objects(path: str) -> list[Item]:
+    """Decode a newline-delimited JSON file into ("path:line", value) pairs.
+
+    Lines end at "\\n" only: JSON strings may hold a raw U+2028 or U+0085,
+    which ``str.splitlines`` would take for a line end. The non-standard
+    literals NaN, Infinity and -Infinity are rejected.
+    """
     out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
-            out.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            out.append((where, json.loads(line, parse_constant=_reject_constant)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from exc
     return out
 
 
-def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], list[Any]]:
-    docs: list[Document] = []
-    ids: list[Any] = []
-    for lineno, obj in _load_objects(path):
-        docs.append(document_from_dict(obj, where=f"{path}:{lineno}"))
-        if key is not None:
-            if not isinstance(obj, dict) or key not in obj:
-                raise ValueError(f"{path}:{lineno}: missing alignment key {key!r}")
-            ids.append(obj[key])
-    return docs, ids
+def _emit(payloads: Iterable[Any], path: str | None = None) -> None:
+    """Write each payload as one line of JSON, floats rounded by ``_round_floats``.
 
-
-def _emit_lines(lines: Iterable[str], path: str | None) -> None:
-    stream: TextIO = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
-    try:
-        for line in lines:
-            stream.write(line)
-            stream.write("\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-
-
-def _job_count(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
+    Every line is encoded before the first is written, so a payload holding
+    NaN or an infinity raises ValueError and leaves no partial output.
+    """
+    lines = [json.dumps(_round_floats(p), allow_nan=False) + "\n" for p in payloads]
+    if path in (None, "-"):
+        sys.stdout.writelines(lines)
     else:
-        raw = os.environ.get("DOCREC_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"DOCREC_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 2:
+    """``[fn(item) for item in items]`` on up to ``jobs`` threads, in input order."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) < 2:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -121,16 +113,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         count = 1
         problems.extend(f"{args.input}: {v}" for v in validate_document(doc))
     else:
-        for lineno, obj in _load_objects(args.input):
-            doc = document_from_dict(obj, where=f"{args.input}:{lineno}")
+        for where, obj in _load_objects(args.input):
+            doc = document_from_dict(obj, where=where)
             count += 1
-            problems.extend(f"{args.input}:{lineno}: {v}" for v in validate_document(doc))
+            problems.extend(f"{where}: {v}" for v in validate_document(doc))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    print(json.dumps({"documents": count, "valid": True}))
+    _emit([{"documents": count, "valid": True}])
     return 0
+
+
+def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], list[Any]]:
+    docs: list[Document] = []
+    ids: list[Any] = []
+    for where, obj in _load_objects(path):
+        docs.append(document_from_dict(obj, where=where))
+        if key is not None:
+            if key not in obj:
+                raise ValueError(f"{where}: missing alignment key {key!r}")
+            ids.append(obj[key])
+    return docs, ids
 
 
 def _align_by_key(gt_ids: list, pred: list[Document], pred_ids: list, key: str) -> list[Document]:
@@ -157,54 +161,40 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         pred_docs,
         compute_dsm=args.metric in ("dsm", "both"),
         compute_ned=args.metric in ("ned", "both"),
-        map=functools.partial(_pmap, jobs=_job_count(args)),
+        map=functools.partial(_pmap, jobs=args.jobs),
     )
-    print(json.dumps(_round_floats(report.to_dict())))
+    _emit([report.to_dict()])
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    docs, _ = _load_corpus(args.input)
-    jobs = _job_count(args)
-    target = args.target
+# --- per-document commands: one output line per input line -------------------
 
-    def run(doc: Document) -> str:
-        if target == "markdown":
-            payload: Any = convert.to_markdown(doc)
-        elif target == "layout":
-            payload = [convert.layout_record_to_dict(r) for r in convert.to_layout_records(doc)]
-        elif target == "text":
-            payload = convert.to_plain_text(doc)
-        elif target == "tables":
-            payload = convert.extract_tables(doc)
-        else:
-            payload = convert.extract_formulas(doc)
-        return json.dumps(_round_floats(payload))
-
-    _emit_lines(_pmap(run, docs, jobs), args.output)
-    return 0
+#: ``convert --target`` name -> per-document payload. The lambdas look the
+#: converters up in ``convert`` at call time, so a patched module is honoured.
+_TARGETS: dict[str, Callable[[Document], Any]] = {
+    "markdown": lambda doc: convert.to_markdown(doc),
+    "layout": lambda doc: [
+        convert.layout_record_to_dict(r) for r in convert.to_layout_records(doc)
+    ],
+    "text": lambda doc: convert.to_plain_text(doc),
+    "tables": lambda doc: convert.extract_tables(doc),
+    "formulas": lambda doc: convert.extract_formulas(doc),
+}
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
+def _convert(args: argparse.Namespace, item: Item) -> Any:
+    where, obj = item
+    return _TARGETS[args.target](document_from_dict(obj, where=where))
+
+
+def _order(args: argparse.Namespace, item: Item) -> dict:
+    where, obj = item
     cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
-    rows = _load_objects(args.input)
-    jobs = _job_count(args)
-
-    def run(item: tuple[int, Any]) -> str:
-        lineno, obj = item
-        doc = document_from_dict(obj, where=f"{args.input}:{lineno}")
-        order = readorder.xy_cut_order([el.bbox for el in doc.elements], cfg)
-        reordered = Document(
-            page_width=doc.page_width,
-            page_height=doc.page_height,
-            elements=tuple(doc.elements[i] for i in order),
-        )
-        out = dict(obj) if isinstance(obj, dict) else {}
-        out.update(document_to_dict(reordered))
-        return json.dumps(_round_floats(out))
-
-    _emit_lines(_pmap(run, rows, jobs), args.output)
-    return 0
+    doc = document_from_dict(obj, where=where)
+    order = readorder.xy_cut_order([el.bbox for el in doc.elements], cfg)
+    reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
+    # Extra top-level keys (an alignment id, say) pass through unchanged.
+    return {**obj, **document_to_dict(reordered)}
 
 
 def _parse_gtgen_input(obj: Any, where: str) -> tuple[list, list, float, float]:
@@ -229,26 +219,26 @@ def _parse_gtgen_input(obj: Any, where: str) -> tuple[list, list, float, float]:
     return elements, lines, width, height
 
 
-def _cmd_gtgen(args: argparse.Namespace) -> int:
+def _gtgen(args: argparse.Namespace, item: Item) -> dict:
+    where, obj = item
     order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
     assoc_cfg = gtgen.AssocConfig(iou_threshold=args.iou_threshold)
-    rows = _load_objects(args.input)
-    jobs = _job_count(args)
+    elements, lines, width, height = _parse_gtgen_input(obj, where)
+    result = gtgen.assemble_ground_truth(
+        elements, lines, width, height, order_cfg=order_cfg, assoc_cfg=assoc_cfg
+    )
+    out = document_to_dict(result.document)
+    out["unassigned"] = [
+        {"index": i, "bbox": bbox_to_list(lines[i].bbox), "text": lines[i].text}
+        for i in result.unassigned
+    ]
+    return out
 
-    def run(item: tuple[int, Any]) -> str:
-        lineno, obj = item
-        elements, lines, width, height = _parse_gtgen_input(obj, f"{args.input}:{lineno}")
-        result = gtgen.assemble_ground_truth(
-            elements, lines, width, height, order_cfg=order_cfg, assoc_cfg=assoc_cfg
-        )
-        out = document_to_dict(result.document)
-        out["unassigned"] = [
-            {"index": i, "bbox": bbox_to_list(lines[i].bbox), "text": lines[i].text}
-            for i in result.unassigned
-        ]
-        return json.dumps(_round_floats(out))
 
-    _emit_lines(_pmap(run, rows, jobs), args.output)
+def _per_document(step: Callable[[argparse.Namespace, Item], Any], args: argparse.Namespace) -> int:
+    """Load ``args.input``, map ``step`` over its lines, write one line each."""
+    items = _load_objects(args.input)
+    _emit(_pmap(functools.partial(step, args), items, args.jobs), args.output)
     return 0
 
 
@@ -272,27 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="predicted document JSONL")
     p_eval.add_argument("--metric", choices=("dsm", "ned", "both"), default="both")
     p_eval.add_argument("--key", help="align corpora by this top-level field instead of line order")
-    p_eval.add_argument("--jobs", type=int, default=None)
+    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_convert = sub.add_parser("convert", help="export documents to a per-task format")
     p_convert.add_argument("input", help="document JSONL path, or - for stdin")
-    p_convert.add_argument(
-        "--target",
-        choices=("markdown", "layout", "text", "tables", "formulas"),
-        required=True,
-    )
+    p_convert.add_argument("--target", choices=_TARGETS, required=True)
     p_convert.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    p_convert.add_argument("--jobs", type=int, default=None)
-    p_convert.set_defaults(func=_cmd_convert)
+    p_convert.add_argument("--jobs", type=int, default=1)
+    p_convert.set_defaults(func=functools.partial(_per_document, _convert))
 
     p_order = sub.add_parser("order", help="rewrite documents with elements in reading order")
     p_order.add_argument("input", help="document JSONL path, or - for stdin")
     p_order.add_argument("--output", "-o", default=None)
     p_order.add_argument("--min-gap", type=float, default=5.0)
     p_order.add_argument("--y-tolerance", type=float, default=10.0)
-    p_order.add_argument("--jobs", type=int, default=None)
-    p_order.set_defaults(func=_cmd_order)
+    p_order.add_argument("--jobs", type=int, default=1)
+    p_order.set_defaults(func=functools.partial(_per_document, _order))
 
     p_gtgen = sub.add_parser(
         "gtgen", help="assemble documents from layout elements plus raw text lines"
@@ -302,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gtgen.add_argument("--min-gap", type=float, default=5.0)
     p_gtgen.add_argument("--y-tolerance", type=float, default=10.0)
     p_gtgen.add_argument("--iou-threshold", type=float, default=0.5)
-    p_gtgen.add_argument("--jobs", type=int, default=None)
-    p_gtgen.set_defaults(func=_cmd_gtgen)
+    p_gtgen.add_argument("--jobs", type=int, default=1)
+    p_gtgen.set_defaults(func=functools.partial(_per_document, _gtgen))
 
     return parser
 

@@ -9,7 +9,6 @@ one format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .model import (
     BoundingBox,
@@ -19,7 +18,6 @@ from .model import (
     FormulaContent,
     ParagraphContent,
     TableContent,
-    bbox_from_value,
     bbox_to_list,
 )
 
@@ -89,17 +87,6 @@ def layout_record_to_dict(record: LayoutRecord) -> dict:
         "bbox": bbox_to_list(record.bbox),
         "score": record.score,
     }
-
-
-def layout_record_from_dict(data: Any, where: str = "record") -> LayoutRecord:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {data!r}")
-    category = Category.from_name(data.get("category"))
-    bbox = bbox_from_value(data.get("bbox"), f"{where}.bbox")
-    score = data.get("score", 1.0)
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise ValueError(f"{where}.score: expected a number, got {score!r}")
-    return LayoutRecord(category, bbox, float(score))
 
 
 def to_plain_text(doc: Document) -> str:

@@ -177,9 +177,10 @@ _FORBIDDEN_IN_LINE_TEXT = ("<Sep>", "<\\n>")
 
 
 def _check_box(bbox: BoundingBox, where: str, width: float, height: float, out: list[str]) -> None:
-    if bbox.x_min > bbox.x_max or bbox.y_min > bbox.y_max:
+    # Written so that a NaN coordinate, which fails every comparison, is reported.
+    if not (bbox.x_min <= bbox.x_max and bbox.y_min <= bbox.y_max):
         out.append(f"{where}: box corners out of order {bbox}")
-    if bbox.x_min < 0 or bbox.y_min < 0 or bbox.x_max > width or bbox.y_max > height:
+    if not (0 <= bbox.x_min and 0 <= bbox.y_min and bbox.x_max <= width and bbox.y_max <= height):
         out.append(f"{where}: box {bbox} outside page 0,0,{width},{height}")
 
 
@@ -196,9 +197,9 @@ def _check_text(text: str, where: str, out: list[str]) -> None:
 def validate_document(doc: Document) -> list[str]:
     """Return every invariant violation in ``doc``; empty list means valid."""
     problems: list[str] = []
-    if doc.page_width <= 0 or doc.page_height <= 0:
+    if not (0 < doc.page_width < math.inf and 0 < doc.page_height < math.inf):
         problems.append(
-            f"page dimensions must be positive, got {doc.page_width}x{doc.page_height}"
+            f"page dimensions must be positive and finite, got {doc.page_width}x{doc.page_height}"
         )
     w, h = doc.page_width, doc.page_height
     for i, el in enumerate(doc.elements):
@@ -246,7 +247,14 @@ def validate_document(doc: Document) -> list[str]:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    # JSON has no NaN or infinities, but json.loads reads 1e999 as inf.
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _require_int(value: Any, where: str) -> int:

@@ -63,48 +63,28 @@ def fallback_sort(boxes: Sequence[BoundingBox], y_tolerance: float) -> list[int]
 
 
 def _split_groups(
-    boxes: Sequence[BoundingBox],
-    idxs: list[int],
-    lo: str,
-    hi: str,
-    min_gap: float,
+    spans: Sequence[tuple[float, float]], idxs: list[int], min_gap: float
 ) -> list[list[int]] | None:
     """Partition ``idxs`` at projection gaps >= min_gap along one axis.
 
-    Projections are closed intervals, so touching boxes never split. Returns
-    None when the projection has no qualifying gap.
+    ``spans[i]`` is box i's (low, high) projection on the axis. Projections
+    are closed intervals, so touching boxes never split. Returns None when
+    the projection has no qualifying gap.
     """
-    order = sorted(
-        idxs, key=lambda i: (getattr(boxes[i], lo), getattr(boxes[i], hi))
-    )
+    order = sorted(idxs, key=spans.__getitem__)
     groups: list[list[int]] = []
     current = [order[0]]
-    reach = getattr(boxes[order[0]], hi)
+    reach = spans[order[0]][1]
     for i in order[1:]:
-        start = getattr(boxes[i], lo)
+        start, end = spans[i]
         if start - reach >= min_gap:
             groups.append(current)
             current = [i]
         else:
             current.append(i)
-        reach = max(reach, getattr(boxes[i], hi))
+        reach = max(reach, end)
     groups.append(current)
     return groups if len(groups) > 1 else None
-
-
-def _order_region(boxes: Sequence[BoundingBox], idxs: list[int], cfg: OrderConfig) -> list[int]:
-    if len(idxs) <= 1:
-        return list(idxs)
-    groups = _split_groups(boxes, idxs, "y_min", "y_max", cfg.min_gap)
-    if groups is None:
-        groups = _split_groups(boxes, idxs, "x_min", "x_max", cfg.min_gap)
-    if groups is None:
-        local = fallback_sort([boxes[i] for i in idxs], cfg.y_tolerance)
-        return [idxs[k] for k in local]
-    out: list[int] = []
-    for group in groups:
-        out.extend(_order_region(boxes, group, cfg))
-    return out
 
 
 def xy_cut_order(boxes: Sequence[BoundingBox], cfg: OrderConfig | None = None) -> list[int]:
@@ -113,7 +93,27 @@ def xy_cut_order(boxes: Sequence[BoundingBox], cfg: OrderConfig | None = None) -
     Recursively splits the box set at whitespace gaps of at least
     ``cfg.min_gap`` (horizontal bands first, then vertical), concatenating
     sub-region orders top-to-bottom / left-to-right; uncuttable regions use
-    ``fallback_sort``.
+    ``fallback_sort``. The recursion runs on an explicit stack, so nesting
+    as deep as the number of boxes is fine.
     """
     cfg = cfg or OrderConfig()
-    return _order_region(boxes, list(range(len(boxes))), cfg)
+    rows = [(b.y_min, b.y_max) for b in boxes]
+    cols = [(b.x_min, b.x_max) for b in boxes]
+    out: list[int] = []
+    # Regions still to order, the next one on top; pushing a region's groups
+    # in reverse emits them first to last.
+    stack = [list(range(len(boxes)))]
+    while stack:
+        idxs = stack.pop()
+        if len(idxs) <= 1:
+            out.extend(idxs)
+            continue
+        groups = _split_groups(rows, idxs, cfg.min_gap)
+        if groups is None:
+            groups = _split_groups(cols, idxs, cfg.min_gap)
+        if groups is None:
+            local = fallback_sort([boxes[i] for i in idxs], cfg.y_tolerance)
+            out.extend(idxs[k] for k in local)
+        else:
+            stack.extend(reversed(groups))
+    return out

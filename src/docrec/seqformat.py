@@ -19,6 +19,7 @@ dimensions. Text is tokenized one codepoint per token at this layer.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -307,9 +308,9 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
     valid sequences whose dequantized geometry breaks model invariants still
     parse (validate_document reports those).
     """
-    if page_width <= 0 or page_height <= 0:
+    if not (0 < page_width < math.inf and 0 < page_height < math.inf):
         raise ValueError(
-            f"page dimensions must be positive, got {page_width}x{page_height}"
+            f"page dimensions must be positive and finite, got {page_width}x{page_height}"
         )
     cur = _Cursor(seq, page_width, page_height)
     elements: list[Element] = []

@@ -243,3 +243,23 @@ def corrupt_categories(corpus: list[Document], fraction: float) -> list[Document
             index += 1
         out.append(Document(doc.page_width, doc.page_height, tuple(elements)))
     return out
+
+
+def staircase_boxes(n: int, gap: float = 6.0) -> list[BoundingBox]:
+    """Boxes whose XY-cut nests ``n`` regions deep; reading order is 0..n-1.
+
+    Even boxes are bands that reach the right edge, odd boxes strips that
+    reach the bottom edge. Each cut peels off exactly one box: a horizontal
+    cut below every band, a vertical cut right of every strip.
+    """
+    end = (n // 2 + 1) * (1 + gap)
+    x = y = 0.0
+    boxes = []
+    for k in range(n):
+        if k % 2 == 0:
+            boxes.append(BoundingBox(x, y, end, y + 1))
+            y += 1 + gap
+        else:
+            boxes.append(BoundingBox(x, y, x + 1, end))
+            x += 1 + gap
+    return boxes

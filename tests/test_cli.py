@@ -1,11 +1,17 @@
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrec.cli import main
 from docrec.model import document_from_dict, document_to_dict, validate_document
-from helpers import random_corpus
+from helpers import random_corpus, staircase_boxes
 
 FIXTURE_GT = "tests/fixtures/gt.jsonl"
 FIXTURE_PRED = "tests/fixtures/pred.jsonl"
@@ -91,16 +97,13 @@ def test_eval_fixture_matches_manifest(capsys):
     assert report["ned"] == round(manifest["ned"], 4)
 
 
-def test_eval_jobs_output_identical(capsys, monkeypatch):
+def test_eval_jobs_output_identical(capsys):
     assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "4"]) == 0
     assert capsys.readouterr().out == serial
-    monkeypatch.setenv("DOCREC_JOBS", "3")
-    assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED]) == 0
-    assert capsys.readouterr().out == serial
-    monkeypatch.setenv("DOCREC_JOBS", "banana")
-    assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED]) == 1
+    assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "0"]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_validate_ok(corpus_file, capsys):
@@ -288,3 +291,131 @@ def test_gtgen_malformed_input(tmp_path, capsys, change, field):
     err = capsys.readouterr().err
     assert f"{path}:1" in err
     assert field in err
+
+
+_PAGE = json.dumps(
+    {
+        "page_width": 100.0,
+        "page_height": 100.0,
+        "elements": [{"category": "Figure", "bbox": [0, 0, 5, 5], "content": {}}],
+    }
+)
+_GTGEN_LINE = json.dumps(_GTGEN_PAGE)
+
+
+@pytest.mark.parametrize(
+    "command, line, names",
+    [
+        ("validate", _PAGE.replace("[0, 0, 5, 5]", "[NaN, 0, 5, 5]"), "NaN"),
+        ("eval", _PAGE.replace("[0, 0, 5, 5]", "[0, 0, Infinity, 5]"), "Infinity"),
+        ("eval", _PAGE.replace('"page_width": 100.0', '"page_width": 1e999'), "page_width"),
+        ("validate", _PAGE.replace('"page_height": 100.0', '"page_height": -1e999'), "page_height"),
+        ("convert", _PAGE.replace("[0, 0, 5, 5]", "[0, 0, 5, 1e999]"), "elements[0].bbox[3]"),
+        ("order", _PAGE.replace("{", '{"id": -Infinity, ', 1), "-Infinity"),
+        ("order", _PAGE.replace('"page_width": 100.0', '"page_width": 1' + "0" * 400), "page_width"),
+        ("gtgen", _GTGEN_LINE.replace("[5, 5, 45, 15]", "[1e999, 5, 45, 15]"), "lines[0].bbox[0]"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, command, line, names):
+    path = tmp_path / "page.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--gt", str(path), "--pred", str(path)],
+        "convert": ["convert", str(path), "--target", "layout"],
+    }.get(command, [command, str(path)])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{path}:1" in err
+    assert names in err
+
+
+@pytest.mark.parametrize("size", ["inf", "-inf", "nan"])
+def test_validate_tokens_rejects_non_finite_page_size(tmp_path, capsys, size):
+    path = tmp_path / "tokens.txt"
+    path.write_text("<Figure><0><0><999><999><Sep>", encoding="utf-8")
+    assert main(["validate", str(path), "--format", "tokens", f"--page-width={size}"]) == 1
+    assert "page dimensions must be positive and finite" in capsys.readouterr().err
+
+
+_COORDS = st.lists(st.floats(), min_size=4, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.tuples(st.floats(), st.floats()),
+    gt=st.lists(_COORDS, min_size=1, max_size=3),
+    pred=st.lists(_COORDS, min_size=1, max_size=3),
+)
+def test_eval_any_float_coordinates(size, gt, pred):
+    """Any float coordinates: exit 1, or strict JSON with scores in [0, 1]."""
+
+    def page(boxes):
+        return {
+            "page_width": size[0],
+            "page_height": size[1],
+            "elements": [
+                {"category": "Paragraph", "bbox": b, "content": {"lines": [{"bbox": b, "text": "ab"}]}}
+                for b in boxes
+            ],
+        }
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "gt.jsonl", Path(tmp) / "pred.jsonl"]
+        for path, boxes in zip(paths, (gt, pred)):
+            # json.dumps writes NaN and Infinity as bare literals.
+            path.write_text(json.dumps(page(boxes)) + "\n", encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eval", "--gt", str(paths[0]), "--pred", str(paths[1])])
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        return
+    assert code == 0
+    report = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    assert 0 <= report["dsm"] <= 1
+    assert 0 <= report["ned"] <= 1
+
+
+def test_ndjson_lines_end_at_newline_only(tmp_path, capsys):
+    # RFC 8259 lets strings hold raw U+2028/U+2029; str.splitlines breaks on them.
+    page = json.loads(_PAGE)
+    page["elements"] = [
+        {
+            "category": "Paragraph",
+            "bbox": [0, 0, 50, 50],
+            "content": {"lines": [{"bbox": [5, 5, 45, 15], "text": "a\u2028b\u2029c"}]},
+        }
+    ]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps(page, ensure_ascii=False) + "\n", encoding="utf-8")
+    escaped = tmp_path / "escaped.jsonl"
+    escaped.write_text(json.dumps(page) + "\n", encoding="utf-8")
+    assert "\u2028" in raw.read_text(encoding="utf-8")
+    assert main(["validate", str(raw)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"documents": 1, "valid": True}
+    assert main(["order", str(raw)]) == 0
+    out = capsys.readouterr().out
+    assert main(["order", str(escaped)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_order_deeply_nested_layout(tmp_path, capsys):
+    boxes = staircase_boxes(1500)
+    perm = list(range(len(boxes)))
+    random.Random(8).shuffle(perm)
+    end = boxes[0].x_max
+    page = {
+        "page_width": end,
+        "page_height": end,
+        "elements": [
+            {"category": "Figure", "bbox": [b.x_min, b.y_min, b.x_max, b.y_max], "content": {}}
+            for b in (boxes[i] for i in perm)
+        ],
+    }
+    path = tmp_path / "stairs.jsonl"
+    path.write_text(json.dumps(page) + "\n", encoding="utf-8")
+    assert main(["order", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [el["bbox"][:2] for el in out["elements"]] == [[b.x_min, b.y_min] for b in boxes]

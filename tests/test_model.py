@@ -200,6 +200,14 @@ def test_validate_reports_bad_page_dims():
     assert any("positive" in p for p in validate_document(doc))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_reports_non_finite_geometry(bad):
+    assert any("positive and finite" in p for p in validate_document(Document(bad, 100.0, ())))
+    box = BoundingBox(0.0, bad, 5.0, 5.0)
+    doc = Document(100.0, 100.0, (Element(Category.FIGURE, box, FigureContent()),))
+    assert any("element 0" in p for p in validate_document(doc))
+
+
 def _mutate(rng, doc):
     """One randomly chosen single-fault mutation; returns (mutant, element index)."""
     idx = rng.randrange(len(doc.elements))
@@ -295,3 +303,12 @@ def test_from_dict_ignores_extra_keys():
         {"id": "a", "page_width": 10, "page_height": 10, "elements": []}
     )
     assert doc == Document(10.0, 10.0, ())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_from_dict_rejects_non_finite(bad):
+    figure = {"category": "Figure", "bbox": [0, bad, 1, 1], "content": {}}
+    with pytest.raises(ValueError, match=r"elements\[0\]\.bbox\[1\]: expected a finite number"):
+        document_from_dict({"page_width": 10, "page_height": 10, "elements": [figure]})
+    with pytest.raises(ValueError, match=r"page_width: expected a finite number"):
+        document_from_dict({"page_width": bad, "page_height": 10})

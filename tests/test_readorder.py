@@ -4,6 +4,7 @@ import pytest
 
 from docrec.model import BoundingBox
 from docrec.readorder import OrderConfig, fallback_sort, xy_cut_order
+from helpers import staircase_boxes
 
 
 def box(x0, y0, x1, y1):
@@ -125,3 +126,12 @@ def test_determinism():
         for _ in range(8)
     ]
     assert xy_cut_order(boxes) == xy_cut_order(boxes)
+
+
+def test_deeply_nested_cuts():
+    # 1,500 nested regions: deeper than the default recursion limit (1,000).
+    boxes = staircase_boxes(1500)
+    assert xy_cut_order(boxes) == list(range(len(boxes)))
+    perm = list(range(len(boxes)))
+    random.Random(5).shuffle(perm)
+    assert [perm[i] for i in xy_cut_order([boxes[i] for i in perm])] == list(range(len(boxes)))
