@@ -52,7 +52,6 @@ from .readorder import OrderConfig, fallback_sort, xy_cut_order
 from .gtgen import (
     AssemblyResult,
     AssocConfig,
-    RawLine,
     assemble_ground_truth,
     associate_lines,
     fuzzy_match,

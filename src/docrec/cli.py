@@ -3,8 +3,9 @@
 Documents travel as newline-delimited JSON: one document object per line,
 UTF-8, lines separated by "\\n" only. Results go to stdout, diagnostics to
 stderr. Exit codes: 0 success, 1 bad input (validation/parse failures,
-non-finite numbers), 2 usage errors. Per-document work runs on up to
-``--jobs`` threads, with output order always matching input order.
+non-finite numbers), 2 usage errors (flag values are checked before any
+input is read). Per-document work runs on up to ``--jobs`` threads, with
+output order always matching input order.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import convert, gtgen, metrics, readorder
 from .model import (
-    Category,
     Document,
-    _require_dict,
-    _require_list,
-    _require_page_size,
-    _require_str,
-    bbox_from_value,
     bbox_to_list,
     document_from_dict,
     document_to_dict,
+    text_lines_from_value,
     validate_document,
 )
 from .seqformat import parse as parse_tokens
@@ -94,8 +90,6 @@ def _emit(payloads: Iterable[Any], path: str | None = None) -> None:
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """``[fn(item) for item in items]`` on up to ``jobs`` threads, in input order."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) < 2:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -189,43 +183,24 @@ def _convert(args: argparse.Namespace, item: Item) -> Any:
 
 def _order(args: argparse.Namespace, item: Item) -> dict:
     where, obj = item
-    cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
     doc = document_from_dict(obj, where=where)
-    order = readorder.xy_cut_order([el.bbox for el in doc.elements], cfg)
+    order = readorder.xy_cut_order([el.bbox for el in doc.elements], args.order_cfg)
     reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
     # Extra top-level keys (an alignment id, say) pass through unchanged.
     return {**obj, **document_to_dict(reordered)}
 
 
-def _parse_gtgen_input(obj: Any, where: str) -> tuple[list, list, float, float]:
-    obj = _require_dict(obj, where)
-    width, height = _require_page_size(obj, where)
-    elements = []
-    for i, item in enumerate(_require_list(obj.get("elements", []), f"{where}.elements")):
-        sub = f"{where}.elements[{i}]"
-        item = _require_dict(item, sub)
-        category = Category.from_name(_require_str(item.get("category"), f"{sub}.category"))
-        elements.append((category, bbox_from_value(item.get("bbox"), f"{sub}.bbox")))
-    lines = []
-    for i, item in enumerate(_require_list(obj.get("lines", []), f"{where}.lines")):
-        sub = f"{where}.lines[{i}]"
-        item = _require_dict(item, sub)
-        lines.append(
-            gtgen.RawLine(
-                bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
-                text=_require_str(item.get("text", ""), f"{sub}.text"),
-            )
-        )
-    return elements, lines, width, height
-
-
 def _gtgen(args: argparse.Namespace, item: Item) -> dict:
     where, obj = item
-    order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
-    assoc_cfg = gtgen.AssocConfig(iou_threshold=args.iou_threshold)
-    elements, lines, width, height = _parse_gtgen_input(obj, where)
+    page = document_from_dict(obj, where=where)
+    lines = text_lines_from_value(obj.get("lines", []), f"{where}.lines")
     result = gtgen.assemble_ground_truth(
-        elements, lines, width, height, order_cfg=order_cfg, assoc_cfg=assoc_cfg
+        [(el.category, el.bbox) for el in page.elements],
+        lines,
+        page.page_width,
+        page.page_height,
+        order_cfg=args.order_cfg,
+        assoc_cfg=args.assoc_cfg,
     )
     out = document_to_dict(result.document)
     out["unassigned"] = [
@@ -294,9 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _build_options(args: argparse.Namespace) -> None:
+    """Check ``--jobs`` and build the option objects once, before any input is read.
+
+    A bad value raises ValueError, which ``main`` reports as a usage error.
+    """
+    if "jobs" in args and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if "min_gap" in args:
+        args.order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
+    if "iou_threshold" in args:
+        args.assoc_cfg = gtgen.AssocConfig(iou_threshold=args.iou_threshold)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _build_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -26,14 +26,6 @@ from .readorder import OrderConfig, row_bands, xy_cut_order
 
 
 @dataclass(frozen=True)
-class RawLine:
-    """An extracted text line not yet owned by any element."""
-
-    bbox: BoundingBox
-    text: str
-
-
-@dataclass(frozen=True)
 class AssocConfig:
     iou_threshold: float = 0.5
 
@@ -44,7 +36,7 @@ class AssocConfig:
 
 def associate_lines(
     elements: Sequence[tuple[Category, BoundingBox]],
-    lines: Sequence[RawLine],
+    lines: Sequence[TextLine],
     cfg: AssocConfig | None = None,
 ) -> list[int | None]:
     """Assign each line to the element covering the largest share of its area.
@@ -111,10 +103,8 @@ class AssemblyResult:
     unassigned: tuple[int, ...]
 
 
-def _consolidate_lines(
-    owned: list[RawLine], y_tolerance: float
-) -> tuple[TextLine, ...]:
-    """Turn a paragraph's raw lines into TextLines, top to bottom.
+def _consolidate_lines(owned: list[TextLine], y_tolerance: float) -> tuple[TextLine, ...]:
+    """Turn the raw lines a paragraph owns into its content lines, top to bottom.
 
     Fragments whose tops fall in the same y-band are pieces of one visual
     line: their boxes merge and their texts join left to right.
@@ -137,7 +127,7 @@ _EMPTY_CONTENT = {
 
 def assemble_ground_truth(
     elements: Sequence[tuple[Category, BoundingBox]],
-    lines: Sequence[RawLine],
+    lines: Sequence[TextLine],
     page_width: float,
     page_height: float,
     order_cfg: OrderConfig | None = None,
@@ -158,7 +148,7 @@ def assemble_ground_truth(
     assignments = tuple(
         position[a] if a is not None else None for a in raw_assignments
     )
-    owned: dict[int, list[RawLine]] = {}
+    owned: dict[int, list[TextLine]] = {}
     for line_idx, target in enumerate(assignments):
         if target is not None:
             owned.setdefault(target, []).append(lines[line_idx])

@@ -10,6 +10,7 @@ alongside for text-only comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -23,6 +24,23 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union; 0.0 when the union has zero area."""
     inter = a.intersection_area(b)
     union = a.area + b.area - inter
+    if not math.isfinite(union):
+        # The areas overflowed. IoU does not change when an axis is scaled, so
+        # scale each axis by the power of two that brings its largest magnitude
+        # into [0.5, 1); that is exact for every coordinate that stays normal.
+        sx = -math.frexp(max(abs(a.x_min), abs(a.x_max), abs(b.x_min), abs(b.x_max)))[1]
+        sy = -math.frexp(max(abs(a.y_min), abs(a.y_max), abs(b.y_min), abs(b.y_max)))[1]
+        a, b = (
+            BoundingBox(
+                math.ldexp(box.x_min, sx),
+                math.ldexp(box.y_min, sy),
+                math.ldexp(box.x_max, sx),
+                math.ldexp(box.y_max, sy),
+            )
+            for box in (a, b)
+        )
+        inter = a.intersection_area(b)
+        union = a.area + b.area - inter
     if union <= 0:
         return 0.0
     return inter / union

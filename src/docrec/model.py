@@ -293,13 +293,19 @@ def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
     return BoundingBox(*coords)
 
 
-def _require_page_size(data: dict, where: str) -> tuple[float, float]:
-    """The required ``page_width``/``page_height`` fields of a page object."""
-    if "page_width" not in data or "page_height" not in data:
-        raise ValueError(f"{where}: missing page_width/page_height")
-    width = _require_number(data["page_width"], f"{where}.page_width")
-    height = _require_number(data["page_height"], f"{where}.page_height")
-    return width, height
+def text_lines_from_value(value: Any, where: str = "lines") -> tuple[TextLine, ...]:
+    """Decode a JSON list of ``{bbox, text}`` line objects; ``text`` defaults to ""."""
+    lines = []
+    for j, item in enumerate(_require_list(value, where)):
+        sub = f"{where}[{j}]"
+        item = _require_dict(item, sub)
+        lines.append(
+            TextLine(
+                bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
+                text=_require_str(item.get("text", ""), f"{sub}.text"),
+            )
+        )
+    return tuple(lines)
 
 
 def _content_to_dict(content: Transcription) -> dict:
@@ -335,16 +341,7 @@ def _content_to_dict(content: Transcription) -> dict:
 def _content_from_dict(category: Category, data: Any, where: str) -> Transcription:
     data = _require_dict(data, where)
     if category is Category.PARAGRAPH:
-        lines = []
-        for j, item in enumerate(_require_list(data.get("lines", []), f"{where}.lines")):
-            item = _require_dict(item, f"{where}.lines[{j}]")
-            lines.append(
-                TextLine(
-                    bbox=bbox_from_value(item.get("bbox"), f"{where}.lines[{j}].bbox"),
-                    text=_require_str(item.get("text", ""), f"{where}.lines[{j}].text"),
-                )
-            )
-        return ParagraphContent(tuple(lines))
+        return ParagraphContent(text_lines_from_value(data.get("lines", []), f"{where}.lines"))
     if category is Category.TABLE:
         rows = []
         for r, row in enumerate(_require_list(data.get("rows", []), f"{where}.rows")):
@@ -389,7 +386,10 @@ def document_from_dict(data: Any, where: str = "document") -> Document:
     top-level keys (e.g. an alignment ``id``) are ignored.
     """
     data = _require_dict(data, where)
-    width, height = _require_page_size(data, where)
+    if "page_width" not in data or "page_height" not in data:
+        raise ValueError(f"{where}: missing page_width/page_height")
+    width = _require_number(data["page_width"], f"{where}.page_width")
+    height = _require_number(data["page_height"], f"{where}.page_height")
     elements = []
     for i, item in enumerate(_require_list(data.get("elements", []), f"{where}.elements")):
         item = _require_dict(item, f"{where}.elements[{i}]")

@@ -351,108 +351,106 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
 #
 # Tags render as <...>; text renders raw with three escapes: "\\" for a
 # backslash, "\<" for a literal "<", and "\n" (two characters) for a
-# newline. A real newline appears only after <Sep>, grouping one element
-# per line.
+# newline. A real newline appears only after a <Sep> that is not the last
+# token, grouping one element per line.
+
+#: Tag body -> token, for every tag without a number in it.
+_TAGS: dict[str, Token] = {
+    **{cat.value: CategoryTok(cat) for cat in Category},
+    "Sep": SepTok(),
+    "\\n": LineSepTok(),
+    **{name: HtmlTagTok(name) for name in ("tr", "/tr", "td", "/td")},
+}
+_TAG_TEXT = {tok: f"<{body}>" for body, tok in _TAGS.items()}
+_TAG_TEXT[SepTok()] += "\n"  # render_tokens drops it after a final <Sep>
+
+#: Text character -> its escape.
+_ESCAPES = {"\\": "\\\\", "<": "\\<", "\n": "\\n"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_UNESCAPES = {escape: ch for ch, escape in _ESCAPES.items()}
 
 # Canonical decimal: ASCII digits, no leading zero, so each number has one text.
 _UINT = r"(?:0|[1-9][0-9]*)"
 _TD_TAG_RE = re.compile(rf'td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?')
 _DIGITS_RE = re.compile(_UINT)
-_CATEGORY_NAMES = {cat.value: cat for cat in Category}
-_ESCAPES = {"n": "\n", "\\": "\\", "<": "<"}
+#: One lexeme of token text; a "<" that no ">" closes matches no group.
+_LEXEME_RE = re.compile(
+    r"<(?P<tag>[^>]*)>|(?P<escape>\\.?)|(?P<newline>\n)|(?P<text>[^<\\\n]+)|<",
+    re.DOTALL,
+)
 
 
-def _escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("<", "\\<").replace("\n", "\\n")
+def _html_tag_text(tok: HtmlTagTok) -> str:
+    attrs = ""
+    if tok.name == "td":
+        if tok.rowspan is not None:
+            attrs += f' rowspan="{tok.rowspan}"'
+        if tok.colspan is not None:
+            attrs += f' colspan="{tok.colspan}"'
+    return f"<{tok.name}{attrs}>"
 
 
 def render_tokens(seq: TokenSequence) -> str:
     """Angle-bracket text form of a token sequence, one element per line."""
     parts: list[str] = []
-    last = len(seq.tokens) - 1
-    for i, tok in enumerate(seq.tokens):
-        if isinstance(tok, CategoryTok):
-            parts.append(f"<{tok.category.value}>")
+    for tok in seq.tokens:
+        if isinstance(tok, TextTok):
+            parts.append(tok.text.translate(_ESCAPE_TABLE))
         elif isinstance(tok, CoordTok):
             parts.append(f"<{tok.bin}>")
-        elif isinstance(tok, TextTok):
-            parts.append(_escape_text(tok.text))
-        elif isinstance(tok, LineSepTok):
-            parts.append("<\\n>")
-        elif isinstance(tok, SepTok):
-            parts.append("<Sep>")
-            if i != last:
-                parts.append("\n")
         else:
-            attrs = ""
-            if tok.name == "td":
-                if tok.rowspan is not None:
-                    attrs += f' rowspan="{tok.rowspan}"'
-                if tok.colspan is not None:
-                    attrs += f' colspan="{tok.colspan}"'
-            parts.append(f"<{tok.name}{attrs}>")
-    return "".join(parts)
+            tag = _TAG_TEXT.get(tok)
+            parts.append(tag if tag is not None else _html_tag_text(tok))
+    text = "".join(parts)
+    if seq.tokens and isinstance(seq.tokens[-1], SepTok):
+        return text[:-1]
+    return text
 
 
 def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
-    """Inverse of render_tokens.
+    """Inverse of render_tokens: every text that scans renders back to itself.
 
     Numeric tags carry no axis name, so axes are assigned cyclically
     (Xmin, Ymin, Xmax, Ymax) within each maximal run of numeric tags; every
     sequence the serializer emits keeps its quartets contiguous, making the
-    round trip exact. Bin range is not checked here (the parser reports
-    CoordOutOfRange).
+    round trip exact. A raw newline is taken only where render_tokens writes
+    one, after each <Sep> but a final one. Bin range is not checked here (the
+    parser reports CoordOutOfRange).
     """
     tokens: list[Token] = []
-    i = 0
-    axis_run = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            axis_run = 0
-            i += 1
+    run = 0  # position of the current numeric tag in its run
+    run_end = sep_end = -1  # where the last numeric tag and the last <Sep> ended
+    for m in _LEXEME_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "newline":
+            if start != sep_end or m.end() == len(text):
+                raise ScanError(start, "newline not between two elements")
             continue
-        if ch == "<":
-            end = text.find(">", i)
-            if end < 0:
-                raise ScanError(i, "unterminated tag")
-            body = text[i + 1 : end]
-            if body in _CATEGORY_NAMES:
-                tokens.append(CategoryTok(_CATEGORY_NAMES[body]))
-                axis_run = 0
-            elif body == "Sep":
-                tokens.append(SepTok())
-                axis_run = 0
-            elif body == "\\n":
-                tokens.append(LineSepTok())
-                axis_run = 0
-            elif _DIGITS_RE.fullmatch(body):
-                tokens.append(CoordTok(AXES[axis_run % 4], int(body)))
-                axis_run += 1
-            elif body in ("tr", "/tr", "/td"):
-                tokens.append(HtmlTagTok(body))
-                axis_run = 0
-            else:
+        if start == sep_end:
+            raise ScanError(start, "expected a newline after <Sep>")
+        if kind == "text":
+            tokens.extend(map(TextTok, m.group()))
+        elif kind == "tag":
+            body = m.group("tag")
+            tok = _TAGS.get(body)
+            if tok is None and _DIGITS_RE.fullmatch(body):
+                run = run + 1 if start == run_end else 0
+                run_end = m.end()
+                tok = CoordTok(AXES[run % 4], int(body))
+            elif tok is None:
                 match = _TD_TAG_RE.fullmatch(body)
                 if match is None:
-                    raise ScanError(i, f"unknown tag <{body}>")
-                rowspan = int(match.group(1)) if match.group(1) else None
-                colspan = int(match.group(2)) if match.group(2) else None
-                tokens.append(HtmlTagTok("td", rowspan=rowspan, colspan=colspan))
-                axis_run = 0
-            i = end + 1
-        elif ch == "\\":
-            if i + 1 >= n:
-                raise ScanError(i, "dangling escape")
-            unescaped = _ESCAPES.get(text[i + 1])
-            if unescaped is None:
-                raise ScanError(i, f"unknown escape \\{text[i + 1]}")
-            tokens.append(TextTok(unescaped))
-            axis_run = 0
-            i += 2
+                    raise ScanError(start, f"unknown tag <{body}>")
+                tok = HtmlTagTok("td", *(int(span) if span else None for span in match.groups()))
+            elif isinstance(tok, SepTok):
+                sep_end = m.end()
+            tokens.append(tok)
+        elif kind == "escape":
+            escape = m.group()
+            if escape not in _UNESCAPES:
+                message = f"unknown escape {escape}" if escape[1:] else "dangling escape"
+                raise ScanError(start, message)
+            tokens.append(TextTok(_UNESCAPES[escape]))
         else:
-            tokens.append(TextTok(ch))
-            axis_run = 0
-            i += 1
+            raise ScanError(start, "unterminated tag")
     return TokenSequence(tuple(tokens), bins)

@@ -102,7 +102,7 @@ def test_eval_jobs_output_identical(capsys):
     serial = capsys.readouterr().out
     assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "4"]) == 0
     assert capsys.readouterr().out == serial
-    assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "0"]) == 1
+    assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED, "--jobs", "0"]) == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
@@ -282,6 +282,13 @@ _GTGEN_PAGE = {
             lambda page: {**page, "elements": [{"category": "Paragraph", "bbox": [0, 0, 50]}]},
             "elements[0].bbox",
         ),
+        (
+            lambda page: {
+                **page,
+                "elements": [{"category": "Paragraph", "bbox": [0, 0, 50, 50], "content": {"lines": 5}}],
+            },
+            "elements[0].content",
+        ),
     ],
 )
 def test_gtgen_malformed_input(tmp_path, capsys, change, field):
@@ -301,6 +308,45 @@ _PAGE = json.dumps(
     }
 )
 _GTGEN_LINE = json.dumps(_GTGEN_PAGE)
+
+
+@pytest.mark.parametrize("content", ["", _PAGE + "\n", None], ids=["empty", "page", "missing"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--min-gap", "-1"],
+        ["order", "--y-tolerance", "-1"],
+        ["order", "--jobs", "0"],
+        ["gtgen", "--iou-threshold", "7"],
+        ["gtgen", "--min-gap", "0"],
+        ["gtgen", "--jobs", "0"],
+        ["convert", "--target", "text", "--jobs", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_values_exit_2_before_reading(tmp_path, capsys, argv, content):
+    path = tmp_path / "in.jsonl"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main([argv[0], str(path), "-o", str(out), *argv[1:]]) == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
+def test_eval_page_with_overflowing_areas(tmp_path, capsys):
+    # Finite coordinates whose box areas overflow to inf.
+    page = json.loads(_PAGE)
+    page.update(page_width=1e200, page_height=1e200)
+    page["elements"][0]["bbox"] = [0, 0, 1e200, 1e200]
+    path = tmp_path / "page.jsonl"
+    path.write_text(json.dumps(page) + "\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(path), "--pred", str(path), "--metric", "dsm"]) == 0
+    assert json.loads(capsys.readouterr().out)["dsm"] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import pytest
 
 from docrec.gtgen import (
     AssocConfig,
-    RawLine,
     assemble_ground_truth,
     associate_lines,
     fuzzy_match,
@@ -15,6 +14,7 @@ from docrec.model import (
     Category,
     ParagraphContent,
     TableContent,
+    TextLine,
     validate_document,
 )
 from docrec.readorder import OrderConfig
@@ -32,13 +32,13 @@ def test_assoc_config_validation():
 
 def test_associate_line_fully_inside():
     elements = [(Category.PARAGRAPH, box(0, 0, 100, 100))]
-    lines = [RawLine(box(10, 10, 90, 20), "hello")]
+    lines = [TextLine(box(10, 10, 90, 20), "hello")]
     assert associate_lines(elements, lines) == [0]
 
 
 def test_associate_line_overlapping_nothing():
     elements = [(Category.PARAGRAPH, box(0, 0, 100, 100))]
-    lines = [RawLine(box(200, 200, 300, 220), "lost")]
+    lines = [TextLine(box(200, 200, 300, 220), "lost")]
     assert associate_lines(elements, lines) == [None]
 
 
@@ -48,14 +48,14 @@ def test_associate_picks_larger_share():
         (Category.PARAGRAPH, box(0, 0, 6, 10)),
         (Category.PARAGRAPH, box(6, 0, 10, 10)),
     ]
-    lines = [RawLine(box(0, 0, 10, 10), "split")]
+    lines = [TextLine(box(0, 0, 10, 10), "split")]
     assert associate_lines(elements, lines, AssocConfig(iou_threshold=0.5)) == [0]
     # With a lower threshold the larger share still wins.
     assert associate_lines(elements, lines, AssocConfig(iou_threshold=0.3)) == [0]
 
 
 def test_associate_tie_prefers_smaller_element_then_lower_index():
-    line = RawLine(box(0, 0, 10, 10), "t")
+    line = TextLine(box(0, 0, 10, 10), "t")
     small = (Category.PARAGRAPH, box(-5, -5, 15, 15))
     large = (Category.PARAGRAPH, box(-50, -50, 60, 60))
     assert associate_lines([large, small], [line]) == [1]
@@ -65,7 +65,7 @@ def test_associate_tie_prefers_smaller_element_then_lower_index():
 
 def test_associate_degenerate_line_unassigned():
     elements = [(Category.PARAGRAPH, box(0, 0, 100, 100))]
-    assert associate_lines(elements, [RawLine(box(5, 5, 5, 5), "")]) == [None]
+    assert associate_lines(elements, [TextLine(box(5, 5, 5, 5), "")]) == [None]
 
 
 def test_merge_boxes():
@@ -114,9 +114,9 @@ def _assembly_inputs():
         (Category.PARAGRAPH, box(0, 0, 100, 100)),
     ]
     lines = [
-        RawLine(box(5, 130, 95, 150), "third"),
-        RawLine(box(5, 10, 95, 30), "first"),
-        RawLine(box(5, 60, 95, 80), "second"),
+        TextLine(box(5, 130, 95, 150), "third"),
+        TextLine(box(5, 10, 95, 30), "first"),
+        TextLine(box(5, 60, 95, 80), "second"),
     ]
     return elements, lines
 
@@ -139,8 +139,8 @@ def test_assemble_orders_elements_and_lines():
 def test_assemble_consolidates_band_fragments():
     elements = [(Category.PARAGRAPH, box(0, 0, 200, 50))]
     lines = [
-        RawLine(box(100, 11, 190, 30), "world"),
-        RawLine(box(5, 10, 95, 30), "hello"),
+        TextLine(box(100, 11, 190, 30), "world"),
+        TextLine(box(5, 10, 95, 30), "hello"),
     ]
     result = assemble_ground_truth(elements, lines, 200.0, 100.0)
     para = result.document.elements[0].content
@@ -151,7 +151,7 @@ def test_assemble_consolidates_band_fragments():
 
 
 def test_assemble_empty_elements_reports_all_lines():
-    lines = [RawLine(box(0, 0, 10, 10), "a"), RawLine(box(0, 20, 10, 30), "b")]
+    lines = [TextLine(box(0, 0, 10, 10), "a"), TextLine(box(0, 20, 10, 30), "b")]
     result = assemble_ground_truth([], lines, 100.0, 100.0)
     assert result.document.elements == ()
     assert result.unassigned == (0, 1)
@@ -160,7 +160,7 @@ def test_assemble_empty_elements_reports_all_lines():
 
 def test_assemble_non_paragraph_content_left_empty():
     elements = [(Category.TABLE, box(0, 0, 100, 100)), (Category.FIGURE, box(0, 150, 100, 250))]
-    lines = [RawLine(box(10, 10, 90, 30), "cell text")]
+    lines = [TextLine(box(10, 10, 90, 30), "cell text")]
     result = assemble_ground_truth(elements, lines, 200.0, 300.0)
     table = result.document.elements[0]
     assert isinstance(table.content, TableContent) and table.content.rows == ()
@@ -184,7 +184,7 @@ def test_assemble_every_line_accounted_for():
         for _ in range(rng.randint(0, 10)):
             x0, y0 = rng.uniform(0, 950), rng.uniform(0, 950)
             lines.append(
-                RawLine(box(x0, y0, x0 + rng.uniform(5, 50), y0 + rng.uniform(3, 12)), "t")
+                TextLine(box(x0, y0, x0 + rng.uniform(5, 50), y0 + rng.uniform(3, 12)), "t")
             )
         result = assemble_ground_truth(elements, lines, 1000.0, 1000.0)
         assert validate_document(result.document) == []

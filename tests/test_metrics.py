@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from docrec.metrics import (
@@ -55,6 +55,20 @@ def test_iou_examples():
 def test_iou_degenerate():
     point = BoundingBox(5, 5, 5, 5)
     assert iou(point, point) == 0.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BOXES = st.builds(BoundingBox, _FINITE, _FINITE, _FINITE, _FINITE)
+
+
+@example(BoundingBox(-1e308, 0, 1e308, 5), BoundingBox(-1e308, 0, 1e308, 5))
+@example(BoundingBox(5e-324, -1e308, 1e-143, 1e308), BoundingBox(0, 0, 1, 1))
+@given(_BOXES, _BOXES)
+def test_iou_bounded_on_finite_boxes(a, b):
+    # Areas of finite boxes can overflow to inf, and inf - inf is NaN.
+    assert 0 <= iou(a, b) <= 1
+    if a.area > 0:
+        assert iou(a, a) == 1.0
 
 
 def test_edit_distance_examples():

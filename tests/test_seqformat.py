@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docrec.model import (
     BoundingBox,
@@ -378,6 +380,30 @@ def test_scan_unterminated_tag_and_bad_escape():
         scan_tokens("ab\\q")
     with pytest.raises(ScanError):
         scan_tokens("ab\\")
+
+
+#: Pieces of token text: whole and broken tags, escapes, raw newlines, non-ASCII text.
+_FRAGMENTS = (
+    "<Paragraph>", "<Table>", "<Formula>", "<Figure>", "<Sep>", "<\\n>",
+    "<tr>", "</tr>", "<td>", "</td>", '<td rowspan="2" colspan="3">',
+    "<0>", "<17>", "<007>", "<", ">", "Sep", "td",
+    "\\", "\\\\", "\\<", "\\n", "\\q",
+    "\n", "a", " ", "\r", "\u00e9", "\u4e2d", "\u2028",
+)
+
+
+@example("<Figure><0><0><9><9><Sep>\n<Formula><1><1><2><2>x\\<\\né<Sep>")
+@example("a\nb")
+@example("<Figure><0><0><9><9><Sep>\n")
+@example("<Figure><0><0><9><9><Sep><Figure><0><0><9><9><Sep>")
+@settings(max_examples=500)
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.characters())).map("".join))
+def test_scanned_text_renders_back_to_itself(text):
+    try:
+        seq = scan_tokens(text)
+    except ScanError:
+        return
+    assert render_tokens(seq) == text
 
 
 def test_scan_assigns_axes_cyclically():
