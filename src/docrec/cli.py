@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
@@ -270,12 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_options(args: argparse.Namespace) -> None:
-    """Check ``--jobs`` and build the option objects once, before any input is read.
+    """Check the numeric flags and build the option objects once, before any input is read.
 
     A bad value raises ValueError, which ``main`` reports as a usage error.
     """
     if "jobs" in args and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if "bins" in args and args.bins < 2:
+        raise ValueError(f"--bins must be >= 2, got {args.bins}")
+    for flag in ("page_width", "page_height"):
+        value = getattr(args, flag, 1.0)
+        if not 0 < value < math.inf:
+            raise ValueError(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
     if "min_gap" in args:
         args.order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
     if "iou_threshold" in args:

@@ -7,6 +7,7 @@ valid document. Lines nothing claims are reported, never dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .model import (
     ParagraphContent,
     TableContent,
     TextLine,
+    scale_to_unit,
 )
 from .readorder import OrderConfig, row_bands, xy_cut_order
 
@@ -47,14 +49,20 @@ def associate_lines(
     index.
     """
     cfg = cfg or AssocConfig()
+    boxes = [box for _, box in elements]
+    areas_finite = all(math.isfinite(box.area) for box in boxes)
     result: list[int | None] = []
     for line in lines:
-        line_area = line.bbox.area
+        line_box, line_boxes = line.bbox, boxes
+        if not (areas_finite and math.isfinite(line_box.area)):
+            # An area overflowed; the ratios and their order survive scaling.
+            line_box, *line_boxes = scale_to_unit([line_box, *boxes])
+        line_area = line_box.area
         best: int | None = None
         best_key: tuple[float, float, int] | None = None
         if line_area > 0:
-            for idx, (_, box) in enumerate(elements):
-                ratio = line.bbox.intersection_area(box) / line_area
+            for idx, box in enumerate(line_boxes):
+                ratio = line_box.intersection_area(box) / line_area
                 if ratio < cfg.iou_threshold:
                     continue
                 key = (-ratio, box.area, idx)

@@ -11,13 +11,13 @@ alongside for text-only comparison.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .convert import element_text, to_markdown
-from .model import BoundingBox, Document, Element
+from .model import BoundingBox, Document, Element, scale_to_unit
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -25,20 +25,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = a.intersection_area(b)
     union = a.area + b.area - inter
     if not math.isfinite(union):
-        # The areas overflowed. IoU does not change when an axis is scaled, so
-        # scale each axis by the power of two that brings its largest magnitude
-        # into [0.5, 1); that is exact for every coordinate that stays normal.
-        sx = -math.frexp(max(abs(a.x_min), abs(a.x_max), abs(b.x_min), abs(b.x_max)))[1]
-        sy = -math.frexp(max(abs(a.y_min), abs(a.y_max), abs(b.y_min), abs(b.y_max)))[1]
-        a, b = (
-            BoundingBox(
-                math.ldexp(box.x_min, sx),
-                math.ldexp(box.y_min, sy),
-                math.ldexp(box.x_max, sx),
-                math.ldexp(box.y_max, sy),
-            )
-            for box in (a, b)
-        )
+        # The areas overflowed; IoU does not change when an axis is scaled.
+        a, b = scale_to_unit((a, b))
         inter = a.intersection_area(b)
         union = a.area + b.area - inter
     if union <= 0:
@@ -47,28 +35,42 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit costs over Unicode codepoints."""
+    """Levenshtein distance with unit costs over Unicode code points.
+
+    Myers' bit-vector algorithm (1999) in Hyyrö's form for global edit
+    distance: bit i of ``vp``/``vn`` says whether the DP column grows or
+    shrinks between rows i and i + 1 of the longer string, so one pass over
+    the shorter string updates a whole column with a few big-int operations.
+    Bits above the longer string's length hold junk; carries and shifts only
+    move upward, so it never reaches the bits that count.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    xs = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    ys = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    offsets = np.arange(ys.size + 1)
-    prev = offsets.copy()
-    cur = np.empty_like(prev)
-    for i in range(xs.size):
-        cur[0] = i + 1
-        np.minimum(prev[:-1] + (ys != xs[i]), prev[1:] + 1, out=cur[1:])
-        # Propagate the left-to-right insertion chain in one vector pass:
-        # min over k<=j of cur[k] + (j-k) == j + running-min of (cur - j).
-        shifted = cur - offsets
-        np.minimum.accumulate(shifted, out=shifted)
-        np.add(shifted, offsets, out=cur)
-        prev, cur = cur, prev
-    return int(prev[-1])
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    top = bit >> 1
+    mask = bit - 1
+    vp, vn, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | (mask ^ (d0 | vp))
+        hn = vp & d0
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        x = (hp << 1) | 1
+        vn = x & d0
+        vp = ((hn << 1) | (mask ^ (x | d0))) & mask
+    return dist
 
 
 def location_cost(gt: Element, pred: Element) -> float:
@@ -77,16 +79,19 @@ def location_cost(gt: Element, pred: Element) -> float:
     return (mismatch + (1.0 - iou(gt.bbox, pred.bbox))) / 2.0
 
 
+def _normalized_edit_distance(a: str, b: str) -> float:
+    """Edit distance over the longer length; 0.0 when both strings are empty."""
+    if not a and not b:
+        return 0.0
+    return edit_distance(a, b) / max(len(a), len(b))
+
+
 def transcription_cost(gt: Element, pred: Element) -> float:
     """Normalized edit distance between canonical transcription strings.
 
     Defined as 0 when both strings are empty (two figures match perfectly).
     """
-    a = element_text(gt)
-    b = element_text(pred)
-    if not a and not b:
-        return 0.0
-    return edit_distance(a, b) / max(len(a), len(b))
+    return _normalized_edit_distance(element_text(gt), element_text(pred))
 
 
 @dataclass(frozen=True)
@@ -106,19 +111,15 @@ class EmptyDocumentError(ValueError):
     """Raised by document_distance when either document has no elements."""
 
 
-def document_distance(gt: Document, pred: Document) -> float:
-    """Minimum accumulated element cost over a monotone alignment.
+def _accumulate(cost: list[list[float]]) -> list[list[float]]:
+    """Cheapest monotone path sums from the top-left cell to every cell.
 
-    The recurrence charges the cell cost on every move, including skips
-    (DTW-style), with first row/column accumulating along the edge.
+    Each cell adds its own cost to the cheapest of its upper, left and
+    upper-left neighbours (DTW-style); the first row and column accumulate
+    along the edge.
     """
-    k = len(gt.elements)
-    kt = len(pred.elements)
-    if k == 0 or kt == 0:
-        raise EmptyDocumentError("document_distance requires non-empty documents")
-    cost = [
-        [element_cost(g, p).total for p in pred.elements] for g in gt.elements
-    ]
+    k = len(cost)
+    kt = len(cost[0])
     dist = [[0.0] * kt for _ in range(k)]
     dist[0][0] = cost[0][0]
     for i in range(1, k):
@@ -130,7 +131,91 @@ def document_distance(gt: Document, pred: Document) -> float:
             dist[i][j] = (
                 min(dist[i - 1][j], dist[i][j - 1], dist[i - 1][j - 1]) + cost[i][j]
             )
-    return dist[k - 1][kt - 1]
+    return dist
+
+
+def _histogram_distances(gt_texts: list[str], pred_texts: list[str]) -> list[list[int]]:
+    """Per cell, max(surplus, deficit) of the two texts' character counts.
+
+    It never exceeds the edit distance: each edit removes at most one
+    surplus and one deficit character, and a substitution does both.
+    """
+    counters = [Counter(text) for text in gt_texts + pred_texts]
+    alphabet = list(set().union(*counters))
+    counts = [[counter.get(ch, 0) for ch in alphabet] for counter in counters]
+    gt_counts, pred_counts = counts[: len(gt_texts)], counts[len(gt_texts) :]
+    return [
+        [
+            (sum(map(abs, map(operator.sub, g, p))) + abs(len(a) - len(b))) // 2
+            for b, p in zip(pred_texts, pred_counts)
+        ]
+        for a, g in zip(gt_texts, gt_counts)
+    ]
+
+
+def document_distance(gt: Document, pred: Document) -> float:
+    """Minimum accumulated element cost over a monotone alignment.
+
+    The recurrence charges the cell cost on every move, including skips
+    (DTW-style), with first row/column accumulating along the edge.
+
+    The result is that of the DP over every ``element_cost(g, p).total``,
+    bit for bit, but most cells never run an edit distance (after Silva &
+    Batista, SDM 2016). Every cell first gets a lower bound on its cost
+    from character counts, and forward and backward DPs over the bounds
+    give, per cell, the cheapest bound of any path through it. The path
+    that is cheapest under the bounds, summed with exact costs, is an
+    upper bound on the result. A cell whose cheapest bound exceeds it lies
+    on no optimal path, so it keeps its bound; every other cell gets its
+    exact cost, and the unchanged DP runs over the mix.
+    """
+    k = len(gt.elements)
+    kt = len(pred.elements)
+    if k == 0 or kt == 0:
+        raise EmptyDocumentError("document_distance requires non-empty documents")
+    gt_texts = [element_text(g) for g in gt.elements]
+    pred_texts = [element_text(p) for p in pred.elements]
+    loc = [[location_cost(g, p) for p in pred.elements] for g in gt.elements]
+    hist = _histogram_distances(gt_texts, pred_texts)
+    lower = [
+        [
+            (loc[i][j] + (hist[i][j] / max(len(a), len(b)) if a or b else 0.0)) / 2.0
+            for j, b in enumerate(pred_texts)
+        ]
+        for i, a in enumerate(gt_texts)
+    ]
+
+    known: dict[tuple[int, int], float] = {}
+
+    def exact(i: int, j: int) -> float:
+        if (i, j) not in known:
+            tran = _normalized_edit_distance(gt_texts[i], pred_texts[j])
+            known[i, j] = (loc[i][j] + tran) / 2.0
+        return known[i, j]
+
+    fwd = _accumulate(lower)
+    bwd = [row[::-1] for row in _accumulate([row[::-1] for row in lower[::-1]])][::-1]
+    # Walk the path that is cheapest under the bounds, summing exact costs.
+    i = j = 0
+    upper = 0.0
+    while True:
+        upper += exact(i, j)
+        if i == k - 1 and j == kt - 1:
+            break
+        steps = [(i + 1, j), (i, j + 1), (i + 1, j + 1)]
+        i, j = min(((a, b) for a, b in steps if a < k and b < kt), key=lambda c: bwd[c[0]][c[1]])
+    # A path sum has fewer than k + kt terms, each in [0, 1], so its rounding
+    # error is below (k + kt)^2 * 2^-53; the slack covers the three sums
+    # compared here many times over.
+    limit = upper + (k + kt) ** 2 * 2.0**-40
+    cost = [
+        [
+            lb if fwd[i][j] + bwd[i][j] - lb > limit else exact(i, j)
+            for j, lb in enumerate(row)
+        ]
+        for i, row in enumerate(lower)
+    ]
+    return _accumulate(cost)[k - 1][kt - 1]
 
 
 @dataclass(frozen=True)
@@ -191,10 +276,7 @@ def dsm(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> EvalR
 
 def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
     """1 - edit distance / max length; 1.0 when both strings are empty."""
-    if not gt_markdown and not pred_markdown:
-        return 1.0
-    dist = edit_distance(gt_markdown, pred_markdown)
-    return 1.0 - dist / max(len(gt_markdown), len(pred_markdown))
+    return 1.0 - _normalized_edit_distance(gt_markdown, pred_markdown)
 
 
 def corpus_ned(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> float:

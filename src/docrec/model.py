@@ -12,7 +12,7 @@ import math
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 #: Default number of coordinate quantization bins per axis. Coordinates are
 #: normalized by the page dimension, so the grid is resolution-independent.
@@ -63,6 +63,27 @@ class BoundingBox:
         if w <= 0 or h <= 0:
             return 0.0
         return w * h
+
+
+def scale_to_unit(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
+    """The boxes with each axis scaled by one power of two, so that the largest
+    magnitude on that axis lies in [0.5, 1).
+
+    Ratios of widths, heights and areas across the boxes do not change, and
+    the scaling is exact for every coordinate that stays normal. Callers use
+    it to measure again when an area overflowed to inf.
+    """
+    sx = -math.frexp(max(max(abs(b.x_min), abs(b.x_max)) for b in boxes))[1]
+    sy = -math.frexp(max(max(abs(b.y_min), abs(b.y_max)) for b in boxes))[1]
+    return [
+        BoundingBox(
+            math.ldexp(b.x_min, sx),
+            math.ldexp(b.y_min, sy),
+            math.ldexp(b.x_max, sx),
+            math.ldexp(b.y_max, sy),
+        )
+        for b in boxes
+    ]
 
 
 @dataclass(frozen=True)

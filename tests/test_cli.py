@@ -321,6 +321,10 @@ _GTGEN_LINE = json.dumps(_GTGEN_PAGE)
         ["gtgen", "--min-gap", "0"],
         ["gtgen", "--jobs", "0"],
         ["convert", "--target", "text", "--jobs", "0"],
+        ["validate", "--format", "tokens", "--bins", "1"],
+        ["validate", "--format", "tokens", "--page-width", "0"],
+        ["validate", "--format", "tokens", "--page-height", "nan"],
+        ["validate", "--page-width", "inf"],
     ],
     ids=" ".join,
 )
@@ -329,7 +333,9 @@ def test_bad_flag_values_exit_2_before_reading(tmp_path, capsys, argv, content):
     if content is not None:
         path.write_text(content, encoding="utf-8")
     out = tmp_path / "out.jsonl"
-    assert main([argv[0], str(path), "-o", str(out), *argv[1:]]) == 2
+    # validate has no output file; it writes only to stdout.
+    output = [] if argv[0] == "validate" else ["-o", str(out)]
+    assert main([argv[0], str(path), *output, *argv[1:]]) == 2
     assert not out.exists()
     stdout, err = capsys.readouterr()
     assert stdout == ""
@@ -347,6 +353,26 @@ def test_eval_page_with_overflowing_areas(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--gt", str(path), "--pred", str(path), "--metric", "dsm"]) == 0
     assert json.loads(capsys.readouterr().out)["dsm"] == 1.0
+
+
+def test_eval_lone_surrogate_in_text(tmp_path, capsys):
+    # JSON may escape a lone surrogate; the metrics compare code points.
+    def page(text):
+        element = {"category": "Paragraph", "bbox": [0, 0, 50, 10],
+                   "content": {"lines": [{"bbox": [0, 0, 50, 10], "text": text}]}}
+        return json.dumps({"page_width": 100.0, "page_height": 100.0, "elements": [element]})
+
+    gt = tmp_path / "gt.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gt.write_text(page("a\ud800b") + "\n", encoding="utf-8")
+    pred.write_text(page("ab") + "\n", encoding="utf-8")
+    assert "\\ud800" in gt.read_text(encoding="utf-8")
+    assert main(["validate", str(gt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 <= report["dsm"] <= 1
+    assert 0 <= report["ned"] <= 1
 
 
 @pytest.mark.parametrize(
@@ -380,8 +406,8 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, command, line, names):
 def test_validate_tokens_rejects_non_finite_page_size(tmp_path, capsys, size):
     path = tmp_path / "tokens.txt"
     path.write_text("<Figure><0><0><999><999><Sep>", encoding="utf-8")
-    assert main(["validate", str(path), "--format", "tokens", f"--page-width={size}"]) == 1
-    assert "page dimensions must be positive and finite" in capsys.readouterr().err
+    assert main(["validate", str(path), "--format", "tokens", f"--page-width={size}"]) == 2
+    assert "--page-width must be positive and finite" in capsys.readouterr().err
 
 
 _COORDS = st.lists(st.floats(), min_size=4, max_size=4)

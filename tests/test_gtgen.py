@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from docrec.gtgen import (
     AssocConfig,
@@ -97,6 +100,40 @@ def test_fuzzy_match_examples():
     assert fuzzy_match("hello world", "hello wrold") == pytest.approx(1 - 2 / 11)
     assert naive_edit_distance("hello world", "hello wrold") == 2
     assert fuzzy_match("", "   ") == 1.0
+
+
+def _scaled(b: BoundingBox, power: int) -> BoundingBox:
+    return BoundingBox(*(math.ldexp(v, power) for v in (b.x_min, b.y_min, b.x_max, b.y_max)))
+
+
+# Small integer boxes: scaling them by 2**-400 .. 2**1000 is exact and keeps
+# every area normal, or overflows it to inf.
+_SMALL_BOX = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 20), st.integers(0, 20), st.integers(1, 20), st.integers(1, 20),
+)
+
+
+@example(
+    # Areas of 1e200 boxes overflow to inf: the line is inside both elements,
+    # so the tie goes to the smaller one.
+    elements=[box(0, 0, 1e200, 1e200), box(0, 0, 5e199, 5e199)],
+    lines=[box(0, 0, 4e199, 1e199)],
+    power=-600,
+)
+@given(
+    st.lists(_SMALL_BOX, max_size=6),
+    st.lists(_SMALL_BOX, max_size=6),
+    st.integers(-400, 1000),
+)
+def test_associate_lines_ignores_power_of_two_scale(elements, lines, power):
+    def assign(scale):
+        return associate_lines(
+            [(Category.PARAGRAPH, _scaled(b, scale)) for b in elements],
+            [TextLine(_scaled(b, scale), "x") for b in lines],
+        )
+
+    assert assign(power) == assign(0)
 
 
 def test_fuzzy_match_properties():

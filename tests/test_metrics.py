@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docrec.metrics import (
@@ -24,6 +24,7 @@ from docrec.model import (
     Document,
     Element,
     FigureContent,
+    FormulaContent,
     ParagraphContent,
     TextLine,
 )
@@ -84,6 +85,21 @@ def test_edit_distance_matches_naive_oracle():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         assert edit_distance(a, b) == naive_edit_distance(a, b), (a, b)
+
+
+# Non-BMP characters, lone surrogates, markup and escapes; strings past 64
+# characters span more than one machine word of the bit-vector kernel.
+_ED_TEXT = st.lists(
+    st.sampled_from(["a", "b", "<", "\\", "\n", " ", "é", "中", "\U0001F600", "\ud800", "\udfff"]),
+    max_size=90,
+).map("".join)
+
+
+@example("a\ud800b", "ab")
+@example("ab" * 40 + "\U0001F600", "ba" * 45)
+@given(_ED_TEXT, _ED_TEXT)
+def test_edit_distance_matches_naive_oracle_on_tricky_text(a, b):
+    assert edit_distance(a, b) == naive_edit_distance(a, b)
 
 
 @given(st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10))
@@ -152,6 +168,52 @@ def test_document_distance_matches_oracle_random():
         gt = random_document(rng, 1, 5)
         pred = random_document(rng, 1, 5)
         assert document_distance(gt, pred) == oracle_document_distance(gt, pred)
+
+
+def _unpruned_document_distance(gt, pred):
+    """The alignment DP over every cell's exact cost, with no pruning."""
+    cost = [[element_cost(g, p).total for p in pred.elements] for g in gt.elements]
+    k, kt = len(cost), len(cost[0])
+    dist = [[0.0] * kt for _ in range(k)]
+    for i in range(k):
+        for j in range(kt):
+            before = [dist[a][b] for a, b in ((i - 1, j), (i, j - 1), (i - 1, j - 1)) if a >= 0 and b >= 0]
+            dist[i][j] = (min(before) if before else 0.0) + cost[i][j]
+    return dist[k - 1][kt - 1]
+
+
+# A few boxes and short texts, so that equal cells and equal-cost paths are common.
+_POOL_BOX = st.sampled_from(
+    [BoundingBox(0, 0, 10, 10), BoundingBox(0, 0, 10, 5), BoundingBox(5, 5, 15, 15), BoundingBox(50, 50, 60, 60)]
+)
+_SHORT_TEXT = st.text(alphabet="ab<\n中", max_size=5)
+_ELEMENT = st.one_of(
+    st.builds(
+        lambda box, texts: Element(
+            Category.PARAGRAPH, box, ParagraphContent(tuple(TextLine(box, t) for t in texts))
+        ),
+        _POOL_BOX,
+        st.lists(_SHORT_TEXT, max_size=2),
+    ),
+    st.builds(lambda box, latex: Element(Category.FORMULA, box, FormulaContent(latex)), _POOL_BOX, _SHORT_TEXT),
+    st.builds(_fig, _POOL_BOX),
+)
+_DOCUMENT = st.lists(_ELEMENT, min_size=1, max_size=9).map(lambda els: _doc(*els, page=100.0))
+
+
+@settings(max_examples=300)
+@given(_DOCUMENT, _DOCUMENT)
+def test_document_distance_is_bit_identical_to_unpruned_dp(gt, pred):
+    assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
+
+
+def test_document_distance_is_bit_identical_to_unpruned_dp_on_degraded_pages():
+    rng = random.Random(2718)
+    for n in range(150):
+        gt = random_document(rng, 1, 12, tricky_text=n % 2 == 0)
+        pred = corrupt_transcriptions([perturb_document(rng, gt)], rng.random())[0]
+        if pred.elements:
+            assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
 
 
 def test_document_distance_empty_raises():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import docrec
@@ -15,3 +18,12 @@ def test_no_module_imports_private_names_of_another():
                 continue
             offenders += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_cli_import_leaves_out_numpy_and_scipy():
+    """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them."""
+    src = str(Path(docrec.__file__).resolve().parent.parent)
+    code = "import sys, docrec.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -412,3 +412,43 @@ def test_scan_assigns_axes_cyclically():
     assert [c.axis for c in coords[:4]] == list(AXES)
     # Run reset by the text token: the fifth coordinate starts a new quartet.
     assert coords[4].axis is Axis.X_MIN
+
+
+_BIN = st.integers(-3, 2003)
+_SPAN = st.one_of(st.none(), st.integers(-2, 4))
+_TOKEN = st.one_of(
+    st.builds(CategoryTok, st.sampled_from(Category)),
+    st.builds(CoordTok, st.sampled_from(Axis), _BIN),
+    st.builds(TextTok, st.text(max_size=2)),
+    st.just(SepTok()),
+    st.just(LineSepTok()),
+    st.builds(HtmlTagTok, st.sampled_from(["tr", "/tr", "td", "/td", "th"]), _SPAN, _SPAN),
+)
+# A whole coordinate quartet, so that parses get past the first box.
+_QUARTET = st.tuples(*(st.builds(CoordTok, st.just(axis), _BIN) for axis in AXES)).map(list)
+_PAGE_SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@example(
+    [CategoryTok(Category.TABLE), *(CoordTok(axis, 0) for axis in AXES),
+     HtmlTagTok("tr"), HtmlTagTok("td", rowspan=-1, colspan=0), *(CoordTok(axis, 1) for axis in AXES),
+     HtmlTagTok("/td"), HtmlTagTok("/tr"), SepTok()],
+    2,
+    1.0,
+    1.0,
+)
+@settings(max_examples=500)
+@given(
+    st.lists(st.one_of(_TOKEN.map(lambda tok: [tok]), _QUARTET), max_size=30).map(
+        lambda runs: [tok for run in runs for tok in run]
+    ),
+    st.integers(2, 2000),
+    _PAGE_SIZE,
+    _PAGE_SIZE,
+)
+def test_parse_returns_document_or_parse_error(tokens, bins, width, height):
+    try:
+        doc = parse(TokenSequence(tokens, bins=bins), width, height)
+    except ParseError:
+        return
+    assert isinstance(doc, Document)
