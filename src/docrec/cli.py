@@ -4,8 +4,9 @@ Documents travel as newline-delimited JSON: one document object per line,
 UTF-8, lines separated by "\\n" only. Results go to stdout, diagnostics to
 stderr. Exit codes: 0 success, 1 bad input (validation/parse failures,
 non-finite numbers), 2 usage errors (flag values are checked before any
-input is read). Per-document work runs on up to ``--jobs`` threads, with
-output order always matching input order.
+input is read). Per-document work runs on one thread, in input order.
+``--jobs`` is accepted and checked, and has no effect: output is identical
+for every N. The flag stays so that existing command lines keep working.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from . import convert, gtgen, metrics, readorder
@@ -30,10 +30,6 @@ from .model import (
 from .seqformat import parse as parse_tokens
 from .seqformat import scan_tokens
 
-#: One decoded input line: its "path:line" location and its JSON value.
-Item = tuple[str, Any]
-
-
 def _round_floats(value: Any) -> Any:
     """Fix every float in a JSON-ready payload at 4 decimals for stable diffs."""
     if isinstance(value, float):
@@ -46,17 +42,20 @@ def _round_floats(value: Any) -> Any:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_objects(path: str) -> list[Item]:
+def _load_objects(path: str) -> list[tuple[str, Any]]:
     """Decode a newline-delimited JSON file into ("path:line", value) pairs.
 
     Lines end at "\\n" only: JSON strings may hold a raw U+2028 or U+0085,
@@ -75,26 +74,24 @@ def _load_objects(path: str) -> list[Item]:
     return out
 
 
-def _emit(payloads: Iterable[Any], path: str | None = None) -> None:
-    """Write each payload as one line of JSON, floats rounded by ``_round_floats``.
+def _emit(results: Iterable[tuple[str, Any]], path: str | None = None) -> None:
+    """Write one line of JSON per ``(where, payload)`` pair, floats rounded by ``_round_floats``.
 
     Every line is encoded before the first is written, so a payload holding
-    NaN or an infinity raises ValueError and leaves no partial output.
+    NaN or an infinity raises ValueError prefixed with its ``where`` and
+    leaves no partial output.
     """
-    lines = [json.dumps(_round_floats(p), allow_nan=False) + "\n" for p in payloads]
+    lines = []
+    for where, payload in results:
+        try:
+            lines.append(json.dumps(_round_floats(payload), allow_nan=False) + "\n")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     if path in (None, "-"):
         sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
-
-
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``jobs`` threads, in input order."""
-    if jobs == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -116,32 +113,42 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    _emit([{"documents": count, "valid": True}])
+    _emit([(args.input, {"documents": count, "valid": True})])
     return 0
 
 
-def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], list[Any]]:
+def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], dict[Any, str]]:
+    """Decode a corpus; with ``key``, also map each document's id to its "path:line".
+
+    An id is a string or an integer (not a bool, which would equal 1 or 0)
+    and is unique within its corpus.
+    """
     docs: list[Document] = []
-    ids: list[Any] = []
+    ids: dict[Any, str] = {}
     for where, obj in _load_objects(path):
         docs.append(document_from_dict(obj, where=where))
         if key is not None:
             if key not in obj:
                 raise ValueError(f"{where}: missing alignment key {key!r}")
-            ids.append(obj[key])
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, (str, int)):
+                raise ValueError(
+                    f"{where}: alignment key {key!r} must be a string or an integer, got {value!r}"
+                )
+            if value in ids:
+                raise ValueError(f"{where}: duplicate {key!r} value {value!r}, first at {ids[value]}")
+            ids[value] = where
     return docs, ids
 
 
-def _align_by_key(gt_ids: list, pred: list[Document], pred_ids: list, key: str) -> list[Document]:
-    pred_by_id: dict[Any, Document] = {}
-    for pid, doc in zip(pred_ids, pred):
-        if pid in pred_by_id:
-            raise ValueError(f"duplicate {key!r} value {pid!r} in predicted corpus")
-        pred_by_id[pid] = doc
+def _align_by_key(
+    gt_ids: dict[Any, str], pred: list[Document], pred_ids: dict[Any, str], key: str
+) -> list[Document]:
+    pred_by_id = dict(zip(pred_ids, pred))
     aligned = []
-    for gid in gt_ids:
+    for gid, where in gt_ids.items():
         if gid not in pred_by_id:
-            raise ValueError(f"no predicted document with {key!r} == {gid!r}")
+            raise ValueError(f"{where}: no predicted document with {key!r} == {gid!r}")
         aligned.append(pred_by_id[gid])
     return aligned
 
@@ -156,9 +163,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         pred_docs,
         compute_dsm=args.metric in ("dsm", "both"),
         compute_ned=args.metric in ("ned", "both"),
-        map=functools.partial(_pmap, jobs=args.jobs),
     )
-    _emit([report.to_dict()])
+    _emit([(f"{args.gt} vs {args.pred}", report.to_dict())])
     return 0
 
 
@@ -177,13 +183,11 @@ _TARGETS: dict[str, Callable[[Document], Any]] = {
 }
 
 
-def _convert(args: argparse.Namespace, item: Item) -> Any:
-    where, obj = item
+def _convert(args: argparse.Namespace, where: str, obj: Any) -> Any:
     return _TARGETS[args.target](document_from_dict(obj, where=where))
 
 
-def _order(args: argparse.Namespace, item: Item) -> dict:
-    where, obj = item
+def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
     doc = document_from_dict(obj, where=where)
     order = readorder.xy_cut_order([el.bbox for el in doc.elements], args.order_cfg)
     reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
@@ -191,8 +195,7 @@ def _order(args: argparse.Namespace, item: Item) -> dict:
     return {**obj, **document_to_dict(reordered)}
 
 
-def _gtgen(args: argparse.Namespace, item: Item) -> dict:
-    where, obj = item
+def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
     page = document_from_dict(obj, where=where)
     lines = text_lines_from_value(obj.get("lines", []), f"{where}.lines")
     result = gtgen.assemble_ground_truth(
@@ -211,10 +214,12 @@ def _gtgen(args: argparse.Namespace, item: Item) -> dict:
     return out
 
 
-def _per_document(step: Callable[[argparse.Namespace, Item], Any], args: argparse.Namespace) -> int:
-    """Load ``args.input``, map ``step`` over its lines, write one line each."""
-    items = _load_objects(args.input)
-    _emit(_pmap(functools.partial(step, args), items, args.jobs), args.output)
+def _per_document(step: Callable[[argparse.Namespace, str, Any], Any], args: argparse.Namespace) -> int:
+    """Run ``step`` on each line of ``args.input`` in order; write one line each."""
+    results = []
+    for where, obj in _load_objects(args.input):
+        results.append((where, step(args, where, obj)))
+    _emit(results, args.output)
     return 0
 
 
@@ -224,6 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Document reconstruction toolkit: validate, evaluate, convert.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Kept so that existing command lines still parse; see the module docstring.
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and checked (>= 1) but has no effect: the work runs on one thread",
+    )
 
     p_validate = sub.add_parser("validate", help="check documents against the model invariants")
     p_validate.add_argument("input", help="document JSONL path, or - for stdin")
@@ -233,38 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--page-height", type=float, default=1024.0)
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_eval = sub.add_parser("eval", help="score a predicted corpus against ground truth")
+    p_eval = sub.add_parser("eval", parents=[jobs], help="score a predicted corpus against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth document JSONL")
     p_eval.add_argument("--pred", required=True, help="predicted document JSONL")
     p_eval.add_argument("--metric", choices=("dsm", "ned", "both"), default="both")
     p_eval.add_argument("--key", help="align corpora by this top-level field instead of line order")
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_convert = sub.add_parser("convert", help="export documents to a per-task format")
+    p_convert = sub.add_parser("convert", parents=[jobs], help="export documents to a per-task format")
     p_convert.add_argument("input", help="document JSONL path, or - for stdin")
     p_convert.add_argument("--target", choices=_TARGETS, required=True)
     p_convert.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    p_convert.add_argument("--jobs", type=int, default=1)
     p_convert.set_defaults(func=functools.partial(_per_document, _convert))
 
-    p_order = sub.add_parser("order", help="rewrite documents with elements in reading order")
+    p_order = sub.add_parser("order", parents=[jobs], help="rewrite documents with elements in reading order")
     p_order.add_argument("input", help="document JSONL path, or - for stdin")
     p_order.add_argument("--output", "-o", default=None)
     p_order.add_argument("--min-gap", type=float, default=5.0)
     p_order.add_argument("--y-tolerance", type=float, default=10.0)
-    p_order.add_argument("--jobs", type=int, default=1)
     p_order.set_defaults(func=functools.partial(_per_document, _order))
 
     p_gtgen = sub.add_parser(
-        "gtgen", help="assemble documents from layout elements plus raw text lines"
+        "gtgen", parents=[jobs], help="assemble documents from layout elements plus raw text lines"
     )
     p_gtgen.add_argument("input", help="JSONL of {page_width, page_height, elements, lines}")
     p_gtgen.add_argument("--output", "-o", default=None)
     p_gtgen.add_argument("--min-gap", type=float, default=5.0)
     p_gtgen.add_argument("--y-tolerance", type=float, default=10.0)
     p_gtgen.add_argument("--iou-threshold", type=float, default=0.5)
-    p_gtgen.add_argument("--jobs", type=int, default=1)
     p_gtgen.set_defaults(func=functools.partial(_per_document, _gtgen))
 
     return parser

@@ -14,7 +14,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .convert import element_text, to_markdown
 from .model import BoundingBox, Document, Element, scale_to_unit
@@ -289,14 +289,8 @@ def evaluate(
     pred_corpus: Sequence[Document],
     compute_dsm: bool = True,
     compute_ned: bool = True,
-    map: Callable[[Callable, Sequence], Iterable] = map,
 ) -> EvalReport:
-    """Corpus evaluation combining both metrics as requested.
-
-    ``map(fn, pairs)`` applies a per-pair scorer to the list of (gt, pred)
-    pairs and must yield results in input order; pass an order-preserving
-    parallel map to spread the per-document work.
-    """
+    """Corpus evaluation combining both metrics as requested."""
     if len(gt_corpus) != len(pred_corpus):
         raise ValueError(
             f"corpus length mismatch: {len(gt_corpus)} ground-truth vs "
@@ -309,11 +303,9 @@ def evaluate(
     dsm_value = None
     ned_value = None
     if compute_dsm:
-        scores = tuple(map(lambda gp: document_score(*gp), pairs))
+        scores = tuple(document_score(gt, pred) for gt, pred in pairs)
         dsm_value = 1.0 - sum(s.normalized for s in scores) / len(scores)
     if compute_ned:
-        values = list(
-            map(lambda gp: ned_similarity(to_markdown(gp[0]), to_markdown(gp[1])), pairs)
-        )
+        values = [ned_similarity(to_markdown(gt), to_markdown(pred)) for gt, pred in pairs]
         ned_value = sum(values) / len(values)
     return EvalReport(scores, dsm=dsm_value, ned=ned_value, corpus_size=len(pairs))

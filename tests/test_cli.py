@@ -89,6 +89,47 @@ def test_eval_key_missing(tmp_path, capsys):
     assert "missing alignment key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gt_ids, pred_ids, bad",
+    [
+        ([True], [1], "gt.jsonl:1"),  # True == 1 in Python, but not in JSON
+        ([["a"]], [["a"]], "gt.jsonl:1"),
+        (["a"], [{"a": 1}], "pred.jsonl:1"),
+        (["a"], [1.0], "pred.jsonl:1"),
+        (["a", "a"], ["a", "b"], "gt.jsonl:2"),
+        (["a", "b"], [0, 0], "pred.jsonl:2"),
+        (["a", "c"], ["a", "b"], "gt.jsonl:2"),
+    ],
+    ids=["bool", "list", "object", "float", "gt-duplicate", "pred-duplicate", "unmatched"],
+)
+def test_eval_key_values_checked(tmp_path, capsys, gt_ids, pred_ids, bad):
+    doc = document_to_dict(random_corpus(random.Random(11), 1)[0])
+    for name, ids in (("gt.jsonl", gt_ids), ("pred.jsonl", pred_ids)):
+        lines = [json.dumps({"id": i, **doc}) + "\n" for i in ids]
+        (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+    argv = ["eval", "--gt", str(tmp_path / "gt.jsonl"), "--pred", str(tmp_path / "pred.jsonl"), "--key", "id"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{tmp_path / bad}: " in err
+    assert "'id'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--gt", "{good}", "--pred", "{bad}"], ["validate", "{bad}", "--format", "tokens"]],
+    ids=" ".join,
+)
+def test_non_utf8_input_names_the_file(tmp_path, capsys, argv):
+    good = _write_corpus(tmp_path / "good.jsonl", random_corpus(random.Random(12), 1))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    assert main([a.format(good=good, bad=bad) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
 def test_eval_fixture_matches_manifest(capsys):
     manifest = json.load(open("tests/fixtures/manifest.json"))
     assert main(["eval", "--gt", FIXTURE_GT, "--pred", FIXTURE_PRED]) == 0
@@ -384,6 +425,8 @@ def test_eval_lone_surrogate_in_text(tmp_path, capsys):
         ("validate", _PAGE.replace('"page_height": 100.0', '"page_height": -1e999'), "page_height"),
         ("convert", _PAGE.replace("[0, 0, 5, 5]", "[0, 0, 5, 1e999]"), "elements[0].bbox[3]"),
         ("order", _PAGE.replace("{", '{"id": -Infinity, ', 1), "-Infinity"),
+        # A pass-through key: only the writer sees it.
+        ("order", _PAGE.replace("{", '{"id": 1e999, ', 1), "Out of range float"),
         ("order", _PAGE.replace('"page_width": 100.0', '"page_width": 1' + "0" * 400), "page_width"),
         ("gtgen", _GTGEN_LINE.replace("[5, 5, 45, 15]", "[1e999, 5, 45, 15]"), "lines[0].bbox[0]"),
     ],

@@ -21,9 +21,13 @@ def test_no_module_imports_private_names_of_another():
 
 
 def test_cli_import_leaves_out_numpy_and_scipy():
-    """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them."""
+    """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them,
+    and without ``concurrent.futures``: the CLI runs its work on one thread."""
     src = str(Path(docrec.__file__).resolve().parent.parent)
-    code = "import sys, docrec.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    code = (
+        "import sys, docrec.cli; "
+        "print(sorted({'numpy', 'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
