@@ -44,7 +44,7 @@ def _round_floats(value: Any) -> Any:
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
@@ -150,6 +150,9 @@ def _align_by_key(
         if gid not in pred_by_id:
             raise ValueError(f"{where}: no predicted document with {key!r} == {gid!r}")
         aligned.append(pred_by_id[gid])
+    for pid, where in pred_ids.items():
+        if pid not in gt_ids:
+            raise ValueError(f"{where}: no ground-truth document with {key!r} == {pid!r}")
     return aligned
 
 
@@ -239,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check documents against the model invariants")
     p_validate.add_argument("input", help="document JSONL path, or - for stdin")
     p_validate.add_argument("--format", choices=("json", "tokens"), default="json")
-    p_validate.add_argument("--bins", type=int, default=1000, help="coordinate grid size (tokens format)")
-    p_validate.add_argument("--page-width", type=float, default=1024.0)
-    p_validate.add_argument("--page-height", type=float, default=1024.0)
+    p_validate.add_argument("--bins", type=int, help="coordinate grid size (tokens format; default 1000)")
+    p_validate.add_argument("--page-width", type=float, help="tokens format; default 1024")
+    p_validate.add_argument("--page-height", type=float, help="tokens format; default 1024")
     p_validate.set_defaults(func=_cmd_validate)
 
     p_eval = sub.add_parser("eval", parents=[jobs], help="score a predicted corpus against ground truth")
@@ -277,11 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``validate`` flags that only token text reads, with their defaults.
+_TOKEN_FLAGS = {"bins": 1000, "page_width": 1024.0, "page_height": 1024.0}
+
+
 def _build_options(args: argparse.Namespace) -> None:
     """Check the numeric flags and build the option objects once, before any input is read.
 
     A bad value raises ValueError, which ``main`` reports as a usage error.
     """
+    for flag, default in _TOKEN_FLAGS.items():
+        if flag not in args:
+            continue
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.format != "tokens":
+            raise ValueError(f"--{flag.replace('_', '-')} applies only to --format tokens")
     if "jobs" in args and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if "bins" in args and args.bins < 2:

@@ -11,8 +11,6 @@ alongside for text-only comparison.
 from __future__ import annotations
 
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,23 +132,30 @@ def _accumulate(cost: list[list[float]]) -> list[list[float]]:
     return dist
 
 
-def _histogram_distances(gt_texts: list[str], pred_texts: list[str]) -> list[list[int]]:
-    """Per cell, max(surplus, deficit) of the two texts' character counts.
+def _backtrack(dist: list[list[float]]) -> list[tuple[int, int]]:
+    """One cheapest path through ``_accumulate``'s sums, from the last cell back to the first.
 
-    It never exceeds the edit distance: each edit removes at most one
-    surplus and one deficit character, and a substitution does both.
+    Each step goes to a neighbour that holds the minimum the recurrence took
+    there; ties prefer the diagonal, then up, then left.
     """
-    counters = [Counter(text) for text in gt_texts + pred_texts]
-    alphabet = list(set().union(*counters))
-    counts = [[counter.get(ch, 0) for ch in alphabet] for counter in counters]
-    gt_counts, pred_counts = counts[: len(gt_texts)], counts[len(gt_texts) :]
-    return [
-        [
-            (sum(map(abs, map(operator.sub, g, p))) + abs(len(a) - len(b))) // 2
-            for b, p in zip(pred_texts, pred_counts)
-        ]
-        for a, g in zip(gt_texts, gt_counts)
-    ]
+    i, j = len(dist) - 1, len(dist[0]) - 1
+    path = [(i, j)]
+    while i or j:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1]
+            best = min(diag, up, left)
+            if diag == best:
+                i, j = i - 1, j - 1
+            elif up == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    return path
 
 
 def document_distance(gt: Document, pred: Document) -> float:
@@ -160,14 +165,16 @@ def document_distance(gt: Document, pred: Document) -> float:
     (DTW-style), with first row/column accumulating along the edge.
 
     The result is that of the DP over every ``element_cost(g, p).total``,
-    bit for bit, but most cells never run an edit distance (after Silva &
-    Batista, SDM 2016). Every cell first gets a lower bound on its cost
-    from character counts, and forward and backward DPs over the bounds
-    give, per cell, the cheapest bound of any path through it. The path
-    that is cheapest under the bounds, summed with exact costs, is an
-    upper bound on the result. A cell whose cheapest bound exceeds it lies
-    on no optimal path, so it keeps its bound; every other cell gets its
-    exact cost, and the unchanged DP runs over the mix.
+    bit for bit, but most cells never run an edit distance (lazy path
+    evaluation, after Dellin & Srinivasa, ICAPS 2016). Every cell starts at
+    a lower bound on its cost, with the length difference standing in for
+    the edit distance. Then the DP runs, one cheapest path is walked back
+    from the corner, and that path's cells get their exact costs; this
+    repeats until the path holds only exact costs. That DP's value is exact:
+    lowering a cost never raises a rounded DP value, because ``min`` and
+    ``fl(x + c)`` are monotone, so it is at most the full DP's; and it is the
+    rounded sum of exact costs along one path, which the full DP cannot
+    undercut.
     """
     k = len(gt.elements)
     kt = len(pred.elements)
@@ -176,46 +183,23 @@ def document_distance(gt: Document, pred: Document) -> float:
     gt_texts = [element_text(g) for g in gt.elements]
     pred_texts = [element_text(p) for p in pred.elements]
     loc = [[location_cost(g, p) for p in pred.elements] for g in gt.elements]
-    hist = _histogram_distances(gt_texts, pred_texts)
-    lower = [
+    cost = [
         [
-            (loc[i][j] + (hist[i][j] / max(len(a), len(b)) if a or b else 0.0)) / 2.0
+            (loc[i][j] + (abs(len(a) - len(b)) / max(len(a), len(b)) if a or b else 0.0)) / 2.0
             for j, b in enumerate(pred_texts)
         ]
         for i, a in enumerate(gt_texts)
     ]
-
-    known: dict[tuple[int, int], float] = {}
-
-    def exact(i: int, j: int) -> float:
-        if (i, j) not in known:
-            tran = _normalized_edit_distance(gt_texts[i], pred_texts[j])
-            known[i, j] = (loc[i][j] + tran) / 2.0
-        return known[i, j]
-
-    fwd = _accumulate(lower)
-    bwd = [row[::-1] for row in _accumulate([row[::-1] for row in lower[::-1]])][::-1]
-    # Walk the path that is cheapest under the bounds, summing exact costs.
-    i = j = 0
-    upper = 0.0
+    exact: set[tuple[int, int]] = set()
     while True:
-        upper += exact(i, j)
-        if i == k - 1 and j == kt - 1:
-            break
-        steps = [(i + 1, j), (i, j + 1), (i + 1, j + 1)]
-        i, j = min(((a, b) for a, b in steps if a < k and b < kt), key=lambda c: bwd[c[0]][c[1]])
-    # A path sum has fewer than k + kt terms, each in [0, 1], so its rounding
-    # error is below (k + kt)^2 * 2^-53; the slack covers the three sums
-    # compared here many times over.
-    limit = upper + (k + kt) ** 2 * 2.0**-40
-    cost = [
-        [
-            lb if fwd[i][j] + bwd[i][j] - lb > limit else exact(i, j)
-            for j, lb in enumerate(row)
-        ]
-        for i, row in enumerate(lower)
-    ]
-    return _accumulate(cost)[k - 1][kt - 1]
+        dist = _accumulate(cost)
+        bound = [cell for cell in _backtrack(dist) if cell not in exact]
+        if not bound:
+            return dist[k - 1][kt - 1]
+        for i, j in bound:
+            tran = _normalized_edit_distance(gt_texts[i], pred_texts[j])
+            cost[i][j] = (loc[i][j] + tran) / 2.0
+        exact.update(bound)
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,9 @@ def test_eval_key_missing(tmp_path, capsys):
         (["a", "a"], ["a", "b"], "gt.jsonl:2"),
         (["a", "b"], [0, 0], "pred.jsonl:2"),
         (["a", "c"], ["a", "b"], "gt.jsonl:2"),
+        (["a"], ["a", "b"], "pred.jsonl:2"),
     ],
-    ids=["bool", "list", "object", "float", "gt-duplicate", "pred-duplicate", "unmatched"],
+    ids=["bool", "list", "object", "float", "gt-duplicate", "pred-duplicate", "unmatched", "pred-unmatched"],
 )
 def test_eval_key_values_checked(tmp_path, capsys, gt_ids, pred_ids, bad):
     doc = document_to_dict(random_corpus(random.Random(11), 1)[0])
@@ -276,13 +277,22 @@ def test_missing_input_exits_1(capsys):
 
 
 def test_stdin_input(corpus_file, capsys, monkeypatch):
-    import io
-
     path, _ = corpus_file
     payload = open(path, encoding="utf-8").read()
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload.encode("utf-8")), encoding="utf-8"))
     assert main(["validate", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_non_utf8_stdin_is_bad_input(capsys, monkeypatch):
+    """stdin decodes as strict UTF-8, like a path, whatever the locale's error handler."""
+    line = b'{"id": "\xff", "page_width": 10.0, "page_height": 10.0, "elements": []}\n'
+    stdin = io.TextIOWrapper(io.BytesIO(line), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["order", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: -: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_byte_identical_reruns(capsys):
@@ -366,6 +376,8 @@ _GTGEN_LINE = json.dumps(_GTGEN_PAGE)
         ["validate", "--format", "tokens", "--page-width", "0"],
         ["validate", "--format", "tokens", "--page-height", "nan"],
         ["validate", "--page-width", "inf"],
+        ["validate", "--bins", "7"],
+        ["validate", "--format", "json", "--page-height", "3"],
     ],
     ids=" ".join,
 )

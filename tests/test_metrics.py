@@ -208,10 +208,26 @@ def test_document_distance_is_bit_identical_to_unpruned_dp(gt, pred):
 
 
 def test_document_distance_is_bit_identical_to_unpruned_dp_on_degraded_pages():
+    """Degraded, unrelated and shuffled pages, and pages on which every cell's
+    bound is 0, so that the refinement runs for many rounds."""
     rng = random.Random(2718)
+    pairs = []
     for n in range(150):
         gt = random_document(rng, 1, 12, tricky_text=n % 2 == 0)
         pred = corrupt_transcriptions([perturb_document(rng, gt)], rng.random())[0]
+        shuffled = list(pred.elements)
+        rng.shuffle(shuffled)
+        pairs += [
+            (gt, pred),
+            (gt, random_document(rng, 1, 12, tricky_text=n % 2 == 0)),
+            (gt, Document(pred.page_width, pred.page_height, tuple(shuffled))),
+        ]
+    box = BoundingBox(0, 0, 10, 10)
+    for _ in range(20):
+        texts = ["".join(rng.choice("ab<\n中") for _ in range(6)) for _ in range(24)]
+        gt, pred = (_doc(*(_para(box, t) for t in half)) for half in (texts[:12], texts[12:]))
+        pairs.append((gt, pred))
+    for gt, pred in pairs:
         if pred.elements:
             assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
 

@@ -20,6 +20,23 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    """Deletions leave no dead imports behind; ``__init__`` imports to re-export."""
+    unused = []
+    for path in sorted(Path(docrec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
 def test_cli_import_leaves_out_numpy_and_scipy():
     """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them,
     and without ``concurrent.futures``: the CLI runs its work on one thread."""
