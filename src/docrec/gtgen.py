@@ -13,14 +13,12 @@ from typing import Sequence
 
 from .metrics import edit_distance
 from .model import (
+    CONTENT_TYPES,
     BoundingBox,
     Category,
     Document,
     Element,
-    FigureContent,
-    FormulaContent,
     ParagraphContent,
-    TableContent,
     TextLine,
     scale_to_unit,
 )
@@ -126,13 +124,6 @@ def _consolidate_lines(owned: list[TextLine], y_tolerance: float) -> tuple[TextL
     )
 
 
-_EMPTY_CONTENT = {
-    Category.TABLE: TableContent(()),
-    Category.FORMULA: FormulaContent(""),
-    Category.FIGURE: FigureContent(),
-}
-
-
 def assemble_ground_truth(
     elements: Sequence[tuple[Category, BoundingBox]],
     lines: Sequence[TextLine],
@@ -168,7 +159,7 @@ def assemble_ground_truth(
                 _consolidate_lines(owned.get(new_idx, []), order_cfg.y_tolerance)
             )
         else:
-            content = _EMPTY_CONTENT[category]
+            content = CONTENT_TYPES[category]()
         built.append(Element(category=category, bbox=box, content=content))
     document = Document(
         page_width=page_width, page_height=page_height, elements=tuple(built)

@@ -90,8 +90,9 @@ class LossWeights:
     sequence: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.discrimination, self.transcription, self.sequence) < 0:
-            raise ValueError("loss weights must be >= 0")
+        weights = (self.discrimination, self.transcription, self.sequence)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(f"loss weights must be finite and >= 0, got {weights}")
 
 
 def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
@@ -111,30 +112,24 @@ def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
     rows, cols = linear_sum_assignment(matrix)
     best = float(matrix[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-    # Fix columns row by row, keeping the remaining subproblem optimal, so
-    # ties resolve to the lexicographically smallest assignment vector.
-    assignment: list[int] = []
-    available = list(range(n))
+    # Descend row by row with the earlier rows fixed: forbid this row its
+    # current column and every larger free one, and take the re-solved
+    # assignment while it stays within tol of the optimum. The row keeps the
+    # smallest column any such assignment allows, so ties resolve to the
+    # lexicographically smallest assignment vector.
+    free = np.arange(n)
     fixed = 0.0
     for row in range(k):
-        chosen = None
-        for col in available:
-            remaining = [c for c in available if c != col]
-            if row + 1 < k:
-                sub = matrix[np.ix_(range(row + 1, k), remaining)]
-                r, c = linear_sum_assignment(sub)
-                rest = float(sub[r, c].sum())
-            else:
-                rest = 0.0
-            if fixed + matrix[row, col] + rest <= best + tol:
-                chosen = col
+        sub = matrix[row:, free]
+        while (at := int(np.searchsorted(free, cols[row]))) > 0:
+            sub[0, at:] = np.inf
+            r, c = linear_sum_assignment(sub)
+            if fixed + sub[r, c].sum() > best + tol:
                 break
-        if chosen is None:  # unreachable: the optimal column always qualifies
-            raise RuntimeError("assignment refinement failed to find a column")
-        assignment.append(chosen)
-        fixed += float(matrix[row, chosen])
-        available.remove(chosen)
-    return assignment
+            cols[row:] = free[c]
+        fixed += float(matrix[row, cols[row]])
+        free = free[free != cols[row]]
+    return [int(c) for c in cols]
 
 
 def matching_cost(

@@ -23,9 +23,10 @@ class OrderConfig:
     y_tolerance: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.min_gap <= 0:
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not self.min_gap > 0:
             raise ValueError(f"min_gap must be positive, got {self.min_gap}")
-        if self.y_tolerance < 0:
+        if not self.y_tolerance >= 0:
             raise ValueError(f"y_tolerance must be >= 0, got {self.y_tolerance}")
 
 

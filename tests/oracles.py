@@ -146,17 +146,29 @@ def oracle_corpus_ned(gt_corpus, pred_corpus) -> float:
     return sum(values) / len(values)
 
 
+def _injections(matrix):
+    """Every injection of rows into columns, in lexicographic order."""
+    return itertools.permutations(range(len(matrix[0])), len(matrix))
+
+
+def _row_order_sum(matrix, cols) -> float:
+    total = 0.0
+    for row, col in enumerate(cols):
+        total = total + matrix[row][col]
+    return total
+
+
 def oracle_min_assignment_cost(matrix) -> float:
     """Exhaustive minimum over all injections of rows into columns."""
-    k = len(matrix)
-    n = len(matrix[0])
-    best = math.inf
-    for cols in itertools.permutations(range(n), k):
-        total = 0.0
-        for row in range(k):
-            total = total + matrix[row][cols[row]]
-        best = min(best, total)
-    return best
+    return min(_row_order_sum(matrix, cols) for cols in _injections(matrix))
+
+
+def oracle_lexicographic_assignment(matrix) -> list[int]:
+    """The lexicographically first injection whose cost is within
+    1e-9 * max(1, |min|) of the exhaustive minimum."""
+    best = oracle_min_assignment_cost(matrix)
+    bound = best + 1e-9 * max(1.0, abs(best))
+    return next(list(cols) for cols in _injections(matrix) if _row_order_sum(matrix, cols) <= bound)
 
 
 def oracle_discrimination_loss(targets, preds, assignment, literal_eq6=False) -> float:

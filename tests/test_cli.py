@@ -367,9 +367,11 @@ _GTGEN_LINE = json.dumps(_GTGEN_PAGE)
     [
         ["order", "--min-gap", "-1"],
         ["order", "--y-tolerance", "-1"],
+        ["order", "--min-gap", "nan"],
         ["order", "--jobs", "0"],
         ["gtgen", "--iou-threshold", "7"],
         ["gtgen", "--min-gap", "0"],
+        ["gtgen", "--y-tolerance", "nan"],
         ["gtgen", "--jobs", "0"],
         ["convert", "--target", "text", "--jobs", "0"],
         ["validate", "--format", "tokens", "--bins", "1"],

@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from docrec.losses import (
     CLASS_ORDER,
@@ -22,6 +25,7 @@ from docrec.losses import (
 from docrec.model import BoundingBox, Category
 from oracles import (
     oracle_discrimination_loss,
+    oracle_lexicographic_assignment,
     oracle_min_assignment_cost,
     oracle_transcription_loss,
 )
@@ -52,6 +56,32 @@ def test_hungarian_lexicographic_ties():
     # Row 0 could take column 1 at the same total; the lexicographically
     # smaller vector picks column 0 for row 0.
     assert hungarian_assign([[2.0, 2.0], [3.0, 3.0]]) == [0, 1]
+
+
+@st.composite
+def _cost_matrices(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 6))
+    value = draw(st.sampled_from([st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10, 10)]))
+    return [[draw(value) for _ in range(n)] for _ in range(k)]
+
+
+@given(_cost_matrices())
+def test_hungarian_matches_lexicographic_oracle(matrix):
+    assert hungarian_assign(matrix) == oracle_lexicographic_assignment(matrix)
+
+
+def test_hungarian_solver_calls_at_most_rows_plus_one(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return linear_sum_assignment(matrix)
+
+    monkeypatch.setattr("docrec.losses.linear_sum_assignment", counted)
+    matrix = np.random.default_rng(9).random((60, 100))
+    hungarian_assign(matrix)
+    assert len(calls) <= 60 + 1
 
 
 def test_hungarian_rectangular_leaves_columns_unused():
@@ -361,3 +391,6 @@ def test_total_loss():
     assert total_loss(0.5, 1.5, 0.25, weights) == pytest.approx(3.5)
     with pytest.raises(ValueError):
         LossWeights(discrimination=-1.0)
+    for bad in ({"discrimination": math.nan}, {"transcription": math.inf}, {"sequence": -math.inf}):
+        with pytest.raises(ValueError):
+            LossWeights(**bad)
