@@ -38,7 +38,7 @@ def _check_prob_vector(vec: np.ndarray, where: str) -> None:
     if (vec < 0).any():
         raise ValueError(f"{where}: probabilities must be >= 0")
     sums = vec.sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0, atol=1e-6):
+    if not (np.abs(sums - 1.0) <= 1e-6).all():
         raise ValueError(f"{where}: probability vectors must sum to 1 within 1e-6")
 
 
@@ -73,12 +73,19 @@ class ElementTarget:
     mask: np.ndarray  # (L,) 1 on real tokens, 0 on padding
 
     def __post_init__(self) -> None:
-        self.tokens = np.asarray(self.tokens, dtype=int)
-        self.mask = np.asarray(self.mask, dtype=int)
-        if self.tokens.ndim != 1 or self.tokens.shape != self.mask.shape:
+        # Both checks run before the int cast, which would truncate 1.7 to 1.
+        tokens = np.asarray(self.tokens)
+        mask = np.asarray(self.mask)
+        if tokens.ndim != 1 or tokens.shape != mask.shape:
             raise ValueError("tokens and mask must be 1-d arrays of equal length")
-        if not np.isin(self.mask, (0, 1)).all():
+        if not ((mask == 0) | (mask == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
+        if tokens.dtype.kind not in "biu":
+            as_float = tokens.astype(float)
+            if not (np.isfinite(as_float) & (as_float == np.trunc(as_float))).all():
+                raise ValueError("token ids must be finite integers")
+        self.tokens = np.asarray(tokens, dtype=int)
+        self.mask = np.asarray(mask, dtype=int)
         if (self.tokens < 0).any():
             raise ValueError("token ids must be >= 0")
 
@@ -132,17 +139,57 @@ def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
     return [int(c) for c in cols]
 
 
+_NAN_BOX = (math.nan,) * 4
+
+
+def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """(m, 4) array of x_min, y_min, x_max, y_max. A box with a coordinate
+    that is not a Python float (an int computes exactly in ``iou``, a float32
+    rounds to float32) enters as NaN, so its cells take the per-pair path."""
+    return np.array(
+        [
+            (x0, y0, x1, y1) if type(x0) is type(y0) is type(x1) is type(y1) is float else _NAN_BOX
+            for x0, y0, x1, y1 in ((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
+        ],
+        dtype=float,
+    )
+
+
 def matching_cost(
     targets: Sequence[ElementTarget], preds: Sequence[ElementPrediction]
 ) -> np.ndarray:
-    """Pairwise assignment cost: class negative log-likelihood plus box non-overlap."""
-    out = np.zeros((len(targets), len(preds)))
-    for k, target in enumerate(targets):
-        ci = class_index(target.category)
-        for n, pred in enumerate(preds):
-            p = max(float(pred.class_probs[ci]), LOG_EPS)
-            out[k, n] = -math.log(p) + (1.0 - iou(pred.box, target.box))
-    return out
+    """Pairwise assignment cost: class negative log-likelihood plus box non-overlap.
+
+    One (targets, preds) array computation, bit-identical to
+    ``-log(max(p, LOG_EPS)) + (1 - iou(pred.box, target.box))`` per pair: the
+    IoU takes ``iou``'s operations in ``iou``'s order, and every cell whose
+    union is not finite (an overflowed area, a NaN or inf coordinate) is
+    computed by ``iou`` itself, which owns the overflow rescale.
+    """
+    k, n = len(targets), len(preds)
+    if k == 0 or n == 0:
+        return np.zeros((k, n))
+    # Targets run down the rows, predictions along the columns.
+    tx0, ty0, tx1, ty1 = _box_array([target.box for target in targets]).T[:, :, None]
+    px0, py0, px1, py1 = _box_array([pred.box for pred in preds]).T
+    # numpy's min/max and ``&`` can part from Python's only on a NaN (a NaN
+    # coordinate or inf - inf); that makes some box's area NaN, so the union
+    # is NaN too and the cell goes to ``iou`` below.
+    with np.errstate(all="ignore"):
+        w = np.minimum(px1, tx1) - np.maximum(px0, tx0)
+        h = np.minimum(py1, ty1) - np.maximum(py0, ty0)
+        inter = np.where((w > 0) & (h > 0), w * h, 0.0)
+        pred_area = np.maximum(px1 - px0, 0.0) * np.maximum(py1 - py0, 0.0)
+        target_area = np.maximum(tx1 - tx0, 0.0) * np.maximum(ty1 - ty0, 0.0)
+        union = pred_area + target_area - inter
+        overlap = np.divide(inter, union, out=np.zeros((k, n)), where=union > 0)
+    for r, c in zip(*np.nonzero(~np.isfinite(union))):
+        overlap[r, c] = iou(preds[c].box, targets[r].box)
+    # math.log, not np.log: the two may differ in the last bit.
+    probs = np.maximum([pred.class_probs for pred in preds], LOG_EPS)
+    nll = -np.array(list(map(math.log, probs.ravel().tolist()))).reshape(probs.shape).T
+    rows = [class_index(target.category) for target in targets]
+    return nll[rows] + (1.0 - overlap)
 
 
 def _masked_token_nll(
@@ -224,28 +271,44 @@ def element_transcription_loss(
     return total
 
 
+def _unit_scaled(vec: np.ndarray) -> np.ndarray:
+    """``vec`` times the power of two that puts its largest magnitude in
+    [0.5, 1); a zero vector stays zero."""
+    return np.ldexp(vec, -math.frexp(float(np.abs(vec).max()))[1])
+
+
 def sequence_reconstruction_loss(
     pred_tokens: np.ndarray, target_tokens: np.ndarray, mask: np.ndarray
 ) -> float:
     """One minus cosine similarity between masked, flattened token-id matrices.
 
-    Token ids are treated as plain numbers. Two all-zero vectors score 0;
-    exactly one all-zero vector scores 1.
+    Token ids are treated as plain numbers and must be finite; mask entries
+    must be 0 or 1. Two all-zero vectors score 0; exactly one all-zero vector
+    scores 1. The result lies in [0, 2].
     """
     pred_tokens = np.asarray(pred_tokens, dtype=float)
     target_tokens = np.asarray(target_tokens, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if not (pred_tokens.shape == target_tokens.shape == mask.shape):
         raise ValueError("pred_tokens, target_tokens and mask must share a shape")
+    if not (np.isfinite(pred_tokens).all() and np.isfinite(target_tokens).all()):
+        raise ValueError("pred_tokens and target_tokens must be finite")
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ValueError("mask entries must be 0 or 1")
     a = (pred_tokens * mask).ravel()
     b = (target_tokens * mask).ravel()
     if np.array_equal(a, b):
         return 0.0  # exact zero for masked-identical sequences
+    # Cosine does not change when a vector is scaled, and a power of two
+    # scales exactly. With the largest entry in [0.5, 1), neither norm nor
+    # the dot product can overflow, and a non-zero vector keeps a non-zero norm.
+    a, b = _unit_scaled(a), _unit_scaled(b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 1.0
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
+    # Rounding can carry the cosine a few ulps past +-1.
+    return min(max(1.0 - float(np.dot(a, b)) / (na * nb), 0.0), 2.0)
 
 
 def total_loss(

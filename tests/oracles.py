@@ -171,6 +171,27 @@ def oracle_lexicographic_assignment(matrix) -> list[int]:
     return next(list(cols) for cols in _injections(matrix) if _row_order_sum(matrix, cols) <= bound)
 
 
+def oracle_matching_cost(targets, preds):
+    """The per-pair matching cost, one ``iou`` call per cell.
+
+    Calls the production ``iou`` on purpose: the array form of
+    ``matching_cost`` must equal this loop bit for bit, overflow rescale
+    included.
+    """
+    import numpy as np
+
+    from docrec.losses import LOG_EPS, class_index
+    from docrec.metrics import iou
+
+    out = np.zeros((len(targets), len(preds)))
+    for k, target in enumerate(targets):
+        ci = class_index(target.category)
+        for n, pred in enumerate(preds):
+            p = max(float(pred.class_probs[ci]), LOG_EPS)
+            out[k, n] = -math.log(p) + (1.0 - iou(pred.box, target.box))
+    return out
+
+
 def oracle_discrimination_loss(targets, preds, assignment, literal_eq6=False) -> float:
     """Direct re-summation of the discrimination loss, numpy-free."""
     eps = 1e-9

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -26,6 +26,7 @@ from docrec.model import BoundingBox, Category
 from oracles import (
     oracle_discrimination_loss,
     oracle_lexicographic_assignment,
+    oracle_matching_cost,
     oracle_min_assignment_cost,
     oracle_transcription_loss,
 )
@@ -161,6 +162,48 @@ def test_prediction_validation():
             tokens=np.array([0, 1]),
             mask=np.array([1, 2]),
         )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ElementPrediction(
+                class_probs=np.array([bad, 0.0, 0.0, 0.0, 0.0]),
+                box=BoundingBox(0, 0, 1, 1),
+                token_probs=np.ones((2, 4)) / 4,
+            )
+        with pytest.raises(ValueError):
+            ElementPrediction(
+                class_probs=_one_hot(0, NUM_CLASSES),
+                box=BoundingBox(0, 0, 1, 1),
+                token_probs=np.array([[bad, 0.0], [0.5, 0.5]]),
+            )
+    # The sum may miss 1 by at most 1e-6.
+    with pytest.raises(ValueError):
+        ElementPrediction(
+            class_probs=np.array([1.0 + 2e-6, 0.0, 0.0, 0.0, 0.0]),
+            box=BoundingBox(0, 0, 1, 1),
+            token_probs=np.ones((2, 4)) / 4,
+        )
+    ElementPrediction(
+        class_probs=np.array([1.0 + 5e-7, 0.0, 0.0, 0.0, 0.0]),
+        box=BoundingBox(0, 0, 1, 1),
+        token_probs=np.ones((2, 4)) / 4,
+    )
+
+
+@pytest.mark.parametrize(
+    "tokens, mask",
+    [([1.7, 2], [1, 1]), ([1, 2], [0.5, 1]), ([1, 2], [math.nan, 1]), ([math.inf, 2], [1, 1])],
+)
+def test_target_rejects_fractional_and_non_finite_entries(tokens, mask):
+    # The int cast would truncate these to valid ids and mask bits.
+    with pytest.raises(ValueError):
+        ElementTarget(Category.FIGURE, BoundingBox(0, 0, 1, 1), np.array(tokens), np.array(mask))
+
+
+def test_target_accepts_integral_floats():
+    target = ElementTarget(
+        Category.FIGURE, BoundingBox(0, 0, 1, 1), np.array([3.0, 0.0]), np.array([1.0, 0.0])
+    )
+    assert target.tokens.tolist() == [3, 0] and target.mask.tolist() == [1, 0]
 
 
 def test_matching_cost_examples():
@@ -188,6 +231,120 @@ def test_matching_cost_examples():
     assert matching_cost([target], [half])[0, 0] == pytest.approx(
         -math.log(0.5) + 6 / 7
     )
+
+
+_MAX = 1.7976931348623157e308
+_COORDS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, _MAX, -_MAX, math.nan, math.inf, -math.inf]),
+    st.floats(1e300, _MAX),
+    st.floats(-_MAX, -1e300),
+    st.integers(-(2**60), 2**60),
+)
+
+
+@st.composite
+def _boxes(draw):
+    x0, y0, x1, y1 = (draw(_COORDS) for _ in range(4))
+    shape = draw(st.sampled_from(["free", "flat", "upright", "ints"]))
+    if shape == "flat":
+        x1 = x0  # zero width
+    elif shape == "ints":
+        # Python ints compute exactly, so products past 2**53 round
+        # differently; any two such boxes overlap.
+        x0, y0 = draw(st.integers(0, 2**58)), draw(st.integers(0, 2**58))
+        x1, y1 = x0 + draw(st.integers(2**58, 2**60)), y0 + draw(st.integers(2**58, 2**60))
+    elif shape == "upright":
+        x1 = x0 + draw(st.floats(0.5, 100))
+        y1 = y0 + draw(st.floats(0.5, 100))
+    return BoundingBox(x0, y0, x1, y1)
+
+
+@st.composite
+def _class_probs(draw):
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 1e-12, 0.25, 1.0]) | st.floats(0, 1), min_size=5, max_size=5)
+    )
+    if sum(weights) == 0:
+        return _one_hot(draw(st.integers(0, NUM_CLASSES - 1)), NUM_CLASSES)
+    probs = np.array(weights)
+    return probs / probs.sum()
+
+
+@st.composite
+def _matching_problems(draw):
+    targets = [
+        ElementTarget(draw(st.sampled_from(CLASS_ORDER)), draw(_boxes()), np.array([0]), np.array([1]))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    # Some predictions reuse a target's box, so identical boxes meet.
+    box = _boxes() | st.sampled_from([t.box for t in targets]) if targets else _boxes()
+    preds = [
+        ElementPrediction(draw(_class_probs()), draw(box), np.full((1, 2), 0.5))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return targets, preds
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(_matching_problems())
+def test_matching_cost_matches_per_pair_oracle(problem):
+    targets, preds = problem
+    try:
+        expected = oracle_matching_cost(targets, preds)
+    except OverflowError:
+        # iou's rescale can overflow when a coordinate is NaN; the array
+        # form calls iou on that cell too, so it fails the same way.
+        with pytest.raises(OverflowError):
+            matching_cost(targets, preds)
+        return
+    cost = matching_cost(targets, preds)
+    assert cost.shape == (len(targets), len(preds))
+    # The sign of a NaN is not stable even between two runs of the per-pair
+    # loop (CPython's generic and specialised float ops order NaN operands
+    # differently), so NaN cells compare as NaN and all others bit for bit.
+    nan = np.isnan(expected)
+    assert (np.isnan(cost) == nan).all()
+    assert cost[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_matching_cost_matches_per_pair_oracle_on_a_seeded_batch():
+    # On common builds np.log parts from math.log in the last bit on a few of
+    # these 2,000 probabilities, so this pins the class term's log too.
+    rng = np.random.default_rng(0)
+    probs = rng.random((400, NUM_CLASSES))
+    probs /= probs.sum(axis=1, keepdims=True)
+    xy = rng.uniform(0, 900, (420, 2))
+    boxes = [BoundingBox(*map(float, row)) for row in np.hstack([xy, xy + rng.uniform(20, 100, xy.shape)])]
+    targets = [
+        ElementTarget(CLASS_ORDER[i % 4], box, np.array([0]), np.array([1]))
+        for i, box in enumerate(boxes[:20])
+    ]
+    preds = [ElementPrediction(p, box, np.full((1, 2), 0.5)) for p, box in zip(probs, boxes[20:])]
+    cost = matching_cost(targets, preds)
+    assert cost.tobytes() == oracle_matching_cost(targets, preds).tobytes()
+
+
+def test_matching_cost_matches_per_pair_oracle_on_int_boxes():
+    # Python ints compute iou exactly; float math would round past 2**53.
+    rng = random.Random(1)
+
+    def box():
+        x0, y0 = rng.randint(0, 2**58), rng.randint(0, 2**58)
+        return BoundingBox(x0, y0, x0 + rng.randint(2**58, 2**60), y0 + rng.randint(2**58, 2**60))
+
+    targets = [ElementTarget(CLASS_ORDER[0], box(), np.array([0]), np.array([1])) for _ in range(10)]
+    preds = [ElementPrediction(_one_hot(0, NUM_CLASSES), box(), np.full((1, 2), 0.5)) for _ in range(10)]
+    cost = matching_cost(targets, preds)
+    assert cost.tobytes() == oracle_matching_cost(targets, preds).tobytes()
+
+
+def test_matching_cost_empty_sides():
+    target = ElementTarget(Category.TABLE, BoundingBox(0, 0, 1, 1), np.array([0]), np.array([1]))
+    pred = _no_object_prediction(1, 2)
+    assert matching_cost([], [pred]).shape == (0, 1)
+    assert matching_cost([target], []).shape == (1, 0)
+    assert matching_cost([], []).shape == (0, 0)
 
 
 def test_losses_zero_under_perfect_predictions():
@@ -382,6 +539,52 @@ def test_sequence_reconstruction_zero_conventions_and_mask():
     assert sequence_reconstruction_loss(a, b, mask) == 0.0
     with pytest.raises(ValueError):
         sequence_reconstruction_loss(a, b, np.ones((2, 3)))
+
+
+def test_sequence_reconstruction_rejects_non_finite_and_clamps():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            sequence_reconstruction_loss([[bad, 1.0]], [[1.0, 2.0]], [[1, 1]])
+        with pytest.raises(ValueError):
+            sequence_reconstruction_loss([[1.0, 1.0]], [[1.0, bad]], [[1, 1]])
+    with pytest.raises(ValueError):
+        sequence_reconstruction_loss([[1.0, 1.0]], [[1.0, 2.0]], [[1, 0.5]])
+    # Rounding put 1 - cos(a, 2a) at -2.2e-16 here.
+    a = np.array([[1, 5]])
+    assert sequence_reconstruction_loss(a, 2 * a, np.ones_like(a)) == 0.0
+    # The norm of (1e200, 1) overflows unless the vector is rescaled.
+    loss = sequence_reconstruction_loss([[1e200, 1.0]], [[1.0, 2.0]], [[1, 1]])
+    assert loss == pytest.approx(1 - 1 / math.sqrt(5))
+
+
+@st.composite
+def _sequence_inputs(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False) | st.integers(
+        0, 30
+    ).map(float)
+    pred, target = (
+        np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        for _ in range(2)
+    )
+    scale = draw(st.integers(1, 6))
+    if draw(st.booleans()) and (np.abs(pred) <= 1e300).all():
+        target = scale * pred  # cosine 1 up to rounding
+    bits = st.lists(st.sampled_from([0.0, 1.0]), min_size=rows * cols, max_size=rows * cols)
+    return pred, target, np.array(draw(bits)).reshape(rows, cols)
+
+
+@given(_sequence_inputs(), st.data())
+def test_sequence_reconstruction_bounded_and_scale_invariant(inputs, data):
+    pred, target, mask = inputs
+    loss = sequence_reconstruction_loss(pred, target, mask)
+    assert 0.0 <= loss <= 2.0
+    # Scale by any 2**e that keeps every entry finite and normal.
+    exponents = [math.frexp(v)[1] for v in np.concatenate([pred.ravel(), target.ravel()]) if v]
+    if exponents:
+        e = data.draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+        scaled = sequence_reconstruction_loss(np.ldexp(pred, e), np.ldexp(target, e), mask)
+        assert scaled == loss
 
 
 def test_total_loss():
