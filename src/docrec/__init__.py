@@ -24,6 +24,7 @@ from .model import (
     document_from_dict,
     document_to_dict,
     quantize_coord,
+    to_json_value,
     validate_document,
 )
 from .seqformat import (

@@ -21,10 +21,10 @@ from typing import Any, Callable, Iterable, Sequence
 from . import convert, gtgen, metrics, readorder
 from .model import (
     Document,
-    bbox_to_list,
     document_from_dict,
     document_to_dict,
     text_lines_from_value,
+    to_json_value,
     validate_document,
 )
 from .seqformat import parse as parse_tokens
@@ -167,7 +167,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         compute_dsm=args.metric in ("dsm", "both"),
         compute_ned=args.metric in ("ned", "both"),
     )
-    _emit([(f"{args.gt} vs {args.pred}", report.to_dict())])
+    _emit([(f"{args.gt} vs {args.pred}", to_json_value(report))])
     return 0
 
 
@@ -177,9 +177,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 #: converters up in ``convert`` at call time, so a patched module is honoured.
 _TARGETS: dict[str, Callable[[Document], Any]] = {
     "markdown": lambda doc: convert.to_markdown(doc),
-    "layout": lambda doc: [
-        convert.layout_record_to_dict(r) for r in convert.to_layout_records(doc)
-    ],
+    "layout": lambda doc: to_json_value(convert.to_layout_records(doc)),
     "text": lambda doc: convert.to_plain_text(doc),
     "tables": lambda doc: convert.extract_tables(doc),
     "formulas": lambda doc: convert.extract_formulas(doc),
@@ -210,10 +208,7 @@ def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
         assoc_cfg=args.assoc_cfg,
     )
     out = document_to_dict(result.document)
-    out["unassigned"] = [
-        {"index": i, "bbox": bbox_to_list(lines[i].bbox), "text": lines[i].text}
-        for i in result.unassigned
-    ]
+    out["unassigned"] = [{"index": i, **to_json_value(lines[i])} for i in result.unassigned]
     return out
 
 

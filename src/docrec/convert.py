@@ -18,7 +18,6 @@ from .model import (
     FormulaContent,
     ParagraphContent,
     TableContent,
-    bbox_to_list,
 )
 
 
@@ -79,14 +78,6 @@ class LayoutRecord:
 
 def to_layout_records(doc: Document) -> list[LayoutRecord]:
     return [LayoutRecord(el.category, el.bbox, 1.0) for el in doc.elements]
-
-
-def layout_record_to_dict(record: LayoutRecord) -> dict:
-    return {
-        "category": record.category.value,
-        "bbox": bbox_to_list(record.bbox),
-        "score": record.score,
-    }
 
 
 def to_plain_text(doc: Document) -> str:

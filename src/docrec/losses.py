@@ -42,7 +42,9 @@ def _check_prob_vector(vec: np.ndarray, where: str) -> None:
         raise ValueError(f"{where}: probability vectors must sum to 1 within 1e-6")
 
 
-@dataclass
+# Identity equality: a generated __eq__ would compare numpy arrays, and their
+# truth value is ambiguous.
+@dataclass(eq=False)
 class ElementPrediction:
     """Per-query outputs: class distribution, box, and per-step token distributions."""
 
@@ -63,7 +65,7 @@ class ElementPrediction:
         _check_prob_vector(self.token_probs, "token_probs")
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality, as for ElementPrediction
 class ElementTarget:
     """Ground-truth element as a padded, masked token row."""
 

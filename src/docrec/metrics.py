@@ -218,21 +218,6 @@ class EvalReport:
     ned: float | None
     corpus_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_document": [
-                {
-                    "distance": s.distance,
-                    "max_len": s.max_len,
-                    "normalized": s.normalized,
-                }
-                for s in self.per_document
-            ],
-            "dsm": self.dsm,
-            "ned": self.ned,
-            "corpus_size": self.corpus_size,
-        }
-
 
 def document_score(gt: Document, pred: Document) -> DocumentScore:
     """Distance and normalized distance for one aligned pair.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from typing import Any, Sequence
 
@@ -26,13 +26,6 @@ class Category(Enum):
     TABLE = "Table"
     FORMULA = "Formula"
     FIGURE = "Figure"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Category":
-        for cat in cls:
-            if cat.value == name:
-                return cat
-        raise ValueError(f"unknown category {name!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,13 @@ def scale_to_unit(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
 
     Ratios of widths, heights and areas across the boxes do not change, and
     the scaling is exact for every coordinate that stays normal. Callers use
-    it to measure again when an area overflowed to inf.
+    it to measure again when an area or a union is not finite, so it is also
+    where a NaN or infinite coordinate is reported: ValueError names the
+    first such box.
     """
+    for b in boxes:
+        if not all(map(math.isfinite, (b.x_min, b.y_min, b.x_max, b.y_max))):
+            raise ValueError(f"box {b} has a non-finite coordinate")
     sx = -math.frexp(max(max(abs(b.x_min), abs(b.x_max)) for b in boxes))[1]
     sy = -math.frexp(max(max(abs(b.y_min), abs(b.y_max)) for b in boxes))[1]
     return [
@@ -168,15 +166,19 @@ class DocumentValidationError(ValueError):
         self.violations = list(violations)
 
 
+def _check_grid(extent: float, bins: int) -> None:
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+    if not 0 < extent < math.inf:
+        raise ValueError(f"extent must be positive and finite, got {extent}")
+
+
 def quantize_coord(v: float, extent: float, bins: int = DEFAULT_BINS) -> int:
     """Map a real coordinate in [0, extent] to a bin index in [0, bins-1].
 
     The top edge (v == extent) clamps into the last bin.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if extent <= 0 or math.isnan(extent):
-        raise ValueError(f"extent must be positive, got {extent}")
+    _check_grid(extent, bins)
     if math.isnan(v) or v < 0 or v > extent:
         raise ValueError(f"coordinate {v} outside [0, {extent}]")
     return min(math.floor(v / extent * bins), bins - 1)
@@ -184,10 +186,7 @@ def quantize_coord(v: float, extent: float, bins: int = DEFAULT_BINS) -> int:
 
 def dequantize_coord(bin_index: int, extent: float, bins: int = DEFAULT_BINS) -> float:
     """Map a bin index back to its bin-center coordinate."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if extent <= 0 or math.isnan(extent):
-        raise ValueError(f"extent must be positive, got {extent}")
+    _check_grid(extent, bins)
     if not 0 <= bin_index < bins:
         raise ValueError(f"bin {bin_index} outside [0, {bins})")
     return (bin_index + 0.5) / bins * extent
@@ -254,7 +253,9 @@ def validate_document(doc: Document) -> list[str]:
 
 # --- canonical JSON representation ---------------------------------------
 #
-# One object per document:
+# Every value docrec writes is encoded by ``to_json_value``: a dataclass is an
+# object of its fields in declaration order, a box is [x0, y0, x1, y1] and a
+# category is its name. So one document is
 #   {"page_width": W, "page_height": H,
 #    "elements": [{"category": ..., "bbox": [x0,y0,x1,y1], "content": {...}}]}
 # content per category:
@@ -262,7 +263,27 @@ def validate_document(doc: Document) -> list[str]:
 #   Table     {"rows": [[{"bbox": [...], "rowspan": n, "colspan": n, "text": ...}]]}
 #   Formula   {"latex": ...}
 #   Figure    {}
-# Corpus files are newline-delimited JSON, UTF-8.
+# Corpus files are newline-delimited JSON, UTF-8. The decoders below stay
+# explicit: their defaults and path-naming errors are not in the dataclasses.
+
+
+def to_json_value(value: Any) -> Any:
+    """The JSON form of a docrec value.
+
+    A dataclass becomes an object of its fields in declaration order, a
+    BoundingBox ``[x_min, y_min, x_max, y_max]``, a Category its name and a
+    tuple or list a list; any other value is returned unchanged.
+    """
+    if isinstance(value, BoundingBox):
+        return [value.x_min, value.y_min, value.x_max, value.y_max]
+    if isinstance(value, (tuple, list)):
+        return [to_json_value(item) for item in value]
+    if isinstance(value, Category):
+        return value.value
+    if is_dataclass(value) and not isinstance(value, type):
+        # The generated __init__ sets the fields in declaration order.
+        return {name: to_json_value(item) for name, item in vars(value).items()}
+    return value
 
 
 def _require_number(value: Any, where: str) -> float:
@@ -302,10 +323,6 @@ def _require_dict(value: Any, where: str) -> dict:
     return value
 
 
-def bbox_to_list(bbox: BoundingBox) -> list[float]:
-    return [bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max]
-
-
 def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
     items = _require_list(value, where)
     if len(items) != 4:
@@ -327,36 +344,6 @@ def text_lines_from_value(value: Any, where: str = "lines") -> tuple[TextLine, .
             )
         )
     return tuple(lines)
-
-
-def _content_to_dict(content: Transcription) -> dict:
-    if isinstance(content, ParagraphContent):
-        return {
-            "lines": [
-                {"bbox": bbox_to_list(line.bbox), "text": line.text}
-                for line in content.lines
-            ]
-        }
-    if isinstance(content, TableContent):
-        return {
-            "rows": [
-                [
-                    {
-                        "bbox": bbox_to_list(cell.bbox),
-                        "rowspan": cell.rowspan,
-                        "colspan": cell.colspan,
-                        "text": cell.text,
-                    }
-                    for cell in row
-                ]
-                for row in content.rows
-            ]
-        }
-    if isinstance(content, FormulaContent):
-        return {"latex": content.latex}
-    if isinstance(content, FigureContent):
-        return {}
-    raise TypeError(f"unknown content type {type(content).__name__}")
 
 
 def _content_from_dict(category: Category, data: Any, where: str) -> Transcription:
@@ -386,18 +373,7 @@ def _content_from_dict(category: Category, data: Any, where: str) -> Transcripti
 
 
 def document_to_dict(doc: Document) -> dict:
-    return {
-        "page_width": doc.page_width,
-        "page_height": doc.page_height,
-        "elements": [
-            {
-                "category": el.category.value,
-                "bbox": bbox_to_list(el.bbox),
-                "content": _content_to_dict(el.content),
-            }
-            for el in doc.elements
-        ],
-    }
+    return to_json_value(doc)
 
 
 def document_from_dict(data: Any, where: str = "document") -> Document:
@@ -415,7 +391,11 @@ def document_from_dict(data: Any, where: str = "document") -> Document:
     for i, item in enumerate(_require_list(data.get("elements", []), f"{where}.elements")):
         item = _require_dict(item, f"{where}.elements[{i}]")
         sub = f"{where}.elements[{i}]"
-        category = Category.from_name(_require_str(item.get("category"), f"{sub}.category"))
+        name = _require_str(item.get("category"), f"{sub}.category")
+        try:
+            category = Category(name)
+        except ValueError:
+            raise ValueError(f"{sub}.category: unknown category {name!r}") from None
         bbox = bbox_from_value(item.get("bbox"), f"{sub}.bbox")
         content = _content_from_dict(category, item.get("content", {}), f"{sub}.content")
         elements.append(Element(category=category, bbox=bbox, content=content))

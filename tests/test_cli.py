@@ -340,6 +340,10 @@ _GTGEN_PAGE = {
             },
             "elements[0].content",
         ),
+        (
+            lambda page: {**page, "elements": [{"category": "Caption", "bbox": [0, 0, 50, 50]}]},
+            "elements[0].category: unknown category 'Caption'",
+        ),
     ],
 )
 def test_gtgen_malformed_input(tmp_path, capsys, change, field):
@@ -548,3 +552,92 @@ def test_order_deeply_nested_layout(tmp_path, capsys):
     assert main(["order", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [el["bbox"][:2] for el in out["elements"]] == [[b.x_min, b.y_min] for b in boxes]
+
+
+# One hand-written page with every content kind, elements bottom-up.
+_GOLDEN_PAGE = {
+    "id": "p1",
+    "page_width": 200,
+    "page_height": 200.0,
+    "elements": [
+        {"category": "Figure", "bbox": [10, 150, 190.5, 190], "content": {}},
+        {"category": "Formula", "bbox": [10, 120, 190, 140], "content": {"latex": "x^2 + y_1"}},
+        {"category": "Table", "bbox": [10, 50, 190, 110], "content": {"rows": [
+            [{"bbox": [10, 50, 100, 110], "rowspan": 2, "colspan": 1, "text": "A"},
+             {"bbox": [100, 50, 190, 80], "text": "B"}],
+            [{"bbox": [100, 80, 190, 110.333333], "text": "C"}],
+        ]}},
+        {"category": "Paragraph", "bbox": [10, 10, 190, 40], "content": {"lines": [
+            {"bbox": [10, 10, 190, 20], "text": "Hello world"},
+            {"bbox": [10, 25, 150.125, 35], "text": "second é line"},
+        ]}},
+    ],
+}
+_GOLDEN_PRED = json.loads(json.dumps(_GOLDEN_PAGE))
+_GOLDEN_PRED["elements"][3]["content"]["lines"][1]["text"] = "second line"
+_GOLDEN_PRED["elements"][0]["bbox"] = [12, 150, 190, 185]
+_GOLDEN_GTGEN = {
+    "page_width": 200.0,
+    "page_height": 200.0,
+    "elements": [
+        {"category": "Paragraph", "bbox": [10, 60, 190, 90]},
+        {"category": "Paragraph", "bbox": [10, 10, 190, 40]},
+        {"category": "Figure", "bbox": [10, 150, 190, 190]},
+    ],
+    "lines": [
+        {"bbox": [12, 65, 180, 75], "text": "lower"},
+        {"bbox": [12, 12, 180, 22], "text": "upper"},
+        {"bbox": [150.5, 195, 199, 199.25], "text": "stray"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["convert", "page", "--target", "layout"],
+            '[{"category": "Figure", "bbox": [10.0, 150.0, 190.5, 190.0], "score": 1.0}, '
+            '{"category": "Formula", "bbox": [10.0, 120.0, 190.0, 140.0], "score": 1.0}, '
+            '{"category": "Table", "bbox": [10.0, 50.0, 190.0, 110.0], "score": 1.0}, '
+            '{"category": "Paragraph", "bbox": [10.0, 10.0, 190.0, 40.0], "score": 1.0}]\n',
+        ),
+        (
+            ["order", "page"],
+            '{"id": "p1", "page_width": 200.0, "page_height": 200.0, "elements": ['
+            '{"category": "Paragraph", "bbox": [10.0, 10.0, 190.0, 40.0], "content": {"lines": ['
+            '{"bbox": [10.0, 10.0, 190.0, 20.0], "text": "Hello world"}, '
+            '{"bbox": [10.0, 25.0, 150.125, 35.0], "text": "second \\u00e9 line"}]}}, '
+            '{"category": "Table", "bbox": [10.0, 50.0, 190.0, 110.0], "content": {"rows": ['
+            '[{"bbox": [10.0, 50.0, 100.0, 110.0], "rowspan": 2, "colspan": 1, "text": "A"}, '
+            '{"bbox": [100.0, 50.0, 190.0, 80.0], "rowspan": 1, "colspan": 1, "text": "B"}], '
+            '[{"bbox": [100.0, 80.0, 190.0, 110.3333], "rowspan": 1, "colspan": 1, "text": "C"}]]}}, '
+            '{"category": "Formula", "bbox": [10.0, 120.0, 190.0, 140.0], "content": {"latex": "x^2 + y_1"}}, '
+            '{"category": "Figure", "bbox": [10.0, 150.0, 190.5, 190.0], "content": {}}]}\n',
+        ),
+        (
+            ["gtgen", "gtgen"],
+            '{"page_width": 200.0, "page_height": 200.0, "elements": ['
+            '{"category": "Paragraph", "bbox": [10.0, 10.0, 190.0, 40.0], "content": {"lines": ['
+            '{"bbox": [12.0, 12.0, 180.0, 22.0], "text": "upper"}]}}, '
+            '{"category": "Paragraph", "bbox": [10.0, 60.0, 190.0, 90.0], "content": {"lines": ['
+            '{"bbox": [12.0, 65.0, 180.0, 75.0], "text": "lower"}]}}, '
+            '{"category": "Figure", "bbox": [10.0, 150.0, 190.0, 190.0], "content": {}}], '
+            '"unassigned": [{"index": 2, "bbox": [150.5, 195.0, 199.0, 199.25], "text": "stray"}]}\n',
+        ),
+        (
+            ["eval", "--gt", "page", "--pred", "pred", "--metric", "both"],
+            '{"per_document": [{"distance": 0.0743, "max_len": 4, "normalized": 0.0186}], '
+            '"dsm": 0.9814, "ned": 0.98, "corpus_size": 1}\n',
+        ),
+    ],
+    ids=["convert", "order", "gtgen", "eval"],
+)
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, expected):
+    # Key order, float rounding and escaping of every writer, byte for byte.
+    paths = {}
+    for name, obj in (("page", _GOLDEN_PAGE), ("pred", _GOLDEN_PRED), ("gtgen", _GOLDEN_GTGEN)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    assert main([argv[0], *(str(paths.get(a, a)) for a in argv[1:])]) == 0
+    assert capsys.readouterr().out == expected

@@ -3,7 +3,6 @@ import random
 from docrec.convert import (
     extract_formulas,
     extract_tables,
-    layout_record_to_dict,
     to_layout_records,
     to_markdown,
     to_plain_text,
@@ -19,6 +18,7 @@ from docrec.model import (
     TableCell,
     TableContent,
     TextLine,
+    to_json_value,
 )
 from docrec.seqformat import parse, serialize
 from helpers import random_document
@@ -115,7 +115,7 @@ def test_layout_records():
 
 def test_layout_record_json_round_trip():
     doc = _doc(_para(["x"]), _figure(y=100))
-    assert [layout_record_to_dict(r) for r in to_layout_records(doc)] == [
+    assert to_json_value(to_layout_records(doc)) == [
         {"category": "Paragraph", "bbox": [0, 0, 100, 10], "score": 1.0},
         {"category": "Figure", "bbox": [0, 100, 100, 120], "score": 1.0},
     ]

@@ -206,6 +206,18 @@ def test_target_accepts_integral_floats():
     assert target.tokens.tolist() == [3, 0] and target.mask.tolist() == [1, 0]
 
 
+def test_prediction_and_target_compare_by_identity():
+    # Field-wise equality would compare numpy arrays, whose truth value is ambiguous.
+    target = ElementTarget(Category.FIGURE, BoundingBox(0, 0, 1, 1), np.array([1, 2]), np.array([1, 1]))
+    twin = ElementTarget(target.category, target.box, target.tokens, target.mask)
+    pred = _perfect_prediction(target, vocab=4)
+    preds = [_perfect_prediction(target, vocab=4), pred]
+    assert target == target and target != twin
+    assert pred != preds[0] and preds.index(pred) == 1
+    preds.remove(pred)
+    assert len(preds) == 1 and len({target, twin, pred}) == 3
+
+
 def test_matching_cost_examples():
     target = ElementTarget(
         category=Category.PARAGRAPH,
@@ -292,10 +304,10 @@ def test_matching_cost_matches_per_pair_oracle(problem):
     targets, preds = problem
     try:
         expected = oracle_matching_cost(targets, preds)
-    except OverflowError:
-        # iou's rescale can overflow when a coordinate is NaN; the array
-        # form calls iou on that cell too, so it fails the same way.
-        with pytest.raises(OverflowError):
+    except ValueError:
+        # iou rejects a NaN or infinite coordinate once the union is not
+        # finite; the array form calls iou on that cell too.
+        with pytest.raises(ValueError):
             matching_cost(targets, preds)
         return
     cost = matching_cost(targets, preds)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from docrec.model import (
     FormulaContent,
     ParagraphContent,
     TextLine,
+    to_json_value,
 )
 from helpers import corrupt_transcriptions, random_corpus, random_document, perturb_document
 from oracles import naive_edit_distance, oracle_document_distance
@@ -70,6 +72,27 @@ def test_iou_bounded_on_finite_boxes(a, b):
     assert 0 <= iou(a, b) <= 1
     if a.area > 0:
         assert iou(a, a) == 1.0
+
+
+_ANY = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+_ANY_BOXES = st.builds(BoundingBox, _ANY, _ANY, _ANY, _ANY)
+
+
+def _finite(box):
+    return all(map(math.isfinite, (box.x_min, box.y_min, box.x_max, box.y_max)))
+
+
+@example(BoundingBox(0.0, 0.0, 0.0, 1e-6), BoundingBox(0.0, math.nan, 0.0, 3.4288275429960554e302))
+@example(BoundingBox(0.0, 0.0, math.inf, 1.0), BoundingBox(0.0, 0.0, 1.0, 1.0))
+@given(_ANY_BOXES, _ANY_BOXES)
+def test_iou_bounded_or_value_error_on_any_float_boxes(a, b):
+    try:
+        value = iou(a, b)
+    except ValueError as exc:
+        assert "non-finite coordinate" in str(exc)
+        assert not (_finite(a) and _finite(b))
+        return
+    assert 0 <= value <= 1
 
 
 def test_edit_distance_examples():
@@ -330,6 +353,6 @@ def test_report_dict_shape():
     rng = random.Random(4)
     corpus = random_corpus(rng, 2)
     report = evaluate(corpus, corpus)
-    data = report.to_dict()
+    data = to_json_value(report)
     assert set(data) == {"per_document", "dsm", "ned", "corpus_size"}
     assert set(data["per_document"][0]) == {"distance", "max_len", "normalized"}

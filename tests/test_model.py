@@ -44,6 +44,9 @@ def test_quantize_domain_errors():
         quantize_coord(5.0, -3.0, 10)
     with pytest.raises(ValueError):
         quantize_coord(5.0, 100.0, 1)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            quantize_coord(5.0, extent, 10)
 
 
 def test_dequantize_bin_centers():
@@ -59,6 +62,9 @@ def test_dequantize_domain_errors():
         dequantize_coord(1000, 1000.0, 1000)
     with pytest.raises(ValueError):
         dequantize_coord(0, 0.0, 1000)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dequantize_coord(3, extent, 1000)
 
 
 def test_quantize_matches_exact_arithmetic():
