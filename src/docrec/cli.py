@@ -20,6 +20,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import convert, gtgen, metrics, readorder
 from .model import (
+    DEFAULT_BINS,
     Document,
     document_from_dict,
     document_to_dict,
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check documents against the model invariants")
     p_validate.add_argument("input", help="document JSONL path, or - for stdin")
     p_validate.add_argument("--format", choices=("json", "tokens"), default="json")
-    p_validate.add_argument("--bins", type=int, help="coordinate grid size (tokens format; default 1000)")
+    p_validate.add_argument("--bins", type=int, help=f"coordinate grid size (tokens format; default {DEFAULT_BINS})")
     p_validate.add_argument("--page-width", type=float, help="tokens format; default 1024")
     p_validate.add_argument("--page-height", type=float, help="tokens format; default 1024")
     p_validate.set_defaults(func=_cmd_validate)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: ``validate`` flags that only token text reads, with their defaults.
-_TOKEN_FLAGS = {"bins": 1000, "page_width": 1024.0, "page_height": 1024.0}
+_TOKEN_FLAGS = {"bins": DEFAULT_BINS, "page_width": 1024.0, "page_height": 1024.0}
 
 
 def _build_options(args: argparse.Namespace) -> None:

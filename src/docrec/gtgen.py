@@ -34,6 +34,12 @@ class AssocConfig:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
 
 
+def _as_is(box: BoundingBox, kind: type) -> bool:
+    """Whether ``box`` measures unscaled: every coordinate a ``kind``, a float area finite."""
+    same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
+    return same and (kind is int or math.isfinite(box.area))
+
+
 def associate_lines(
     elements: Sequence[tuple[Category, BoundingBox]],
     lines: Sequence[TextLine],
@@ -45,15 +51,19 @@ def associate_lines(
     a large element scores 1.0). Lines below ``iou_threshold`` everywhere
     stay unassigned (None); ties prefer the smaller element, then the lower
     index.
+
+    Int boxes measure exactly. Float boxes whose areas overflow, and int and
+    float mixes, measure on scaled copies (``scale_to_unit`` names a bad box).
     """
     cfg = cfg or AssocConfig()
     boxes = [box for _, box in elements]
-    areas_finite = all(math.isfinite(box.area) for box in boxes)
+    ints = all(_as_is(box, int) for box in boxes)
+    floats = all(_as_is(box, float) for box in boxes)
     result: list[int | None] = []
     for line in lines:
         line_box, line_boxes = line.bbox, boxes
-        if not (areas_finite and math.isfinite(line_box.area)):
-            # An area overflowed; the ratios and their order survive scaling.
+        if not (ints and _as_is(line_box, int) or floats and _as_is(line_box, float)):
+            # The ratios and their order survive scaling.
             line_box, *line_boxes = scale_to_unit([line_box, *boxes])
         line_area = line_box.area
         best: int | None = None

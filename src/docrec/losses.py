@@ -92,18 +92,6 @@ class ElementTarget:
             raise ValueError("token ids must be >= 0")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    discrimination: float = 1.0
-    transcription: float = 1.0
-    sequence: float = 1.0
-
-    def __post_init__(self) -> None:
-        weights = (self.discrimination, self.transcription, self.sequence)
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError(f"loss weights must be finite and >= 0, got {weights}")
-
-
 def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
     """Minimum-total-cost injective assignment of rows (targets) to columns.
 
@@ -233,14 +221,13 @@ def element_discrimination_loss(
     targets: Sequence[ElementTarget],
     preds: Sequence[ElementPrediction],
     assignment: Sequence[int],
-    literal_eq6: bool = False,
 ) -> float:
     """Matching loss over all predictions plus token loss on the leading
     class/coordinate positions of matched elements.
 
     Matched predictions pay class NLL and a box term; unmatched ones pay the
-    NLL of the no-object class. The box term is (1 - IoU) so that better
-    overlap lowers the loss; ``literal_eq6=True`` switches it to +IoU.
+    NLL of the no-object class. The paper's Eq. 6 writes the box term as
+    +IoU; it is 1 - IoU here so that better overlap lowers the loss.
     """
     _check_assignment(targets, preds, assignment)
     total = 0.0
@@ -249,8 +236,7 @@ def element_discrimination_loss(
         pred = preds[assignment[k]]
         ci = class_index(target.category)
         total += -math.log(max(float(pred.class_probs[ci]), LOG_EPS))
-        overlap = iou(pred.box, target.box)
-        total += overlap if literal_eq6 else (1.0 - overlap)
+        total += 1.0 - iou(pred.box, target.box)
         total += _masked_token_nll(pred, target, 0, 5)
     for n, pred in enumerate(preds):
         if n not in matched:
@@ -313,15 +299,6 @@ def sequence_reconstruction_loss(
     return min(max(1.0 - float(np.dot(a, b)) / (na * nb), 0.0), 2.0)
 
 
-def total_loss(
-    discrimination: float,
-    transcription: float,
-    sequence: float,
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Weighted sum of the three loss components."""
-    return (
-        weights.discrimination * discrimination
-        + weights.transcription * transcription
-        + weights.sequence * sequence
-    )
+def total_loss(discrimination: float, transcription: float, sequence: float) -> float:
+    """Sum of the three loss components."""
+    return discrimination + transcription + sequence

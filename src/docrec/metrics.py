@@ -10,6 +10,7 @@ alongside for text-only comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,17 +20,19 @@ from .model import BoundingBox, Document, Element, scale_to_unit
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 when the union has zero area."""
-    inter = a.intersection_area(b)
-    union = a.area + b.area - inter
-    if not math.isfinite(union):
-        # The areas overflowed; IoU does not change when an axis is scaled.
-        a, b = scale_to_unit((a, b))
+    """Intersection over union; 0.0 when the union has zero area; exact on int boxes."""
+    try:
         inter = a.intersection_area(b)
         union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+        if type(union) is int or math.isfinite(union):
+            return inter / union if union > 0 else 0.0
+    except OverflowError:  # an int beyond the float range met a float
+        pass
+    # An area overflowed; IoU does not change when an axis is scaled.
+    a, b = scale_to_unit((a, b))
+    inter = a.intersection_area(b)
+    union = a.area + b.area - inter
+    return inter / union if union > 0 else 0.0
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -170,11 +173,12 @@ def document_distance(gt: Document, pred: Document) -> float:
     a lower bound on its cost, with the length difference standing in for
     the edit distance. Then the DP runs, one cheapest path is walked back
     from the corner, and that path's cells get their exact costs; this
-    repeats until the path holds only exact costs. That DP's value is exact:
-    lowering a cost never raises a rounded DP value, because ``min`` and
-    ``fl(x + c)`` are monotone, so it is at most the full DP's; and it is the
-    rounded sum of exact costs along one path, which the full DP cannot
-    undercut.
+    repeats until the path holds only exact costs, or, once the rounds' DP
+    cells pass 16 per inexact cell, all cells are made exact. That DP's
+    value is exact: lowering a cost never raises a rounded DP value, because
+    ``min`` and ``fl(x + c)`` are monotone, so it is at most the full DP's;
+    and it is the rounded sum of exact costs along one path, which the full
+    DP cannot undercut.
     """
     k = len(gt.elements)
     kt = len(pred.elements)
@@ -191,11 +195,14 @@ def document_distance(gt: Document, pred: Document) -> float:
         for i, a in enumerate(gt_texts)
     ]
     exact: set[tuple[int, int]] = set()
-    while True:
+    for rounds in itertools.count(1):
         dist = _accumulate(cost)
         bound = [cell for cell in _backtrack(dist) if cell not in exact]
         if not bound:
             return dist[k - 1][kt - 1]
+        if rounds * k * kt > 16 * (k * kt - len(exact)):
+            # About k rounds when every bound is 0: go to the full DP instead.
+            bound = [(i, j) for i in range(k) for j in range(kt) if (i, j) not in exact]
         for i, j in bound:
             tran = _normalized_edit_distance(gt_texts[i], pred_texts[j])
             cost[i][j] = (loc[i][j] + tran) / 2.0

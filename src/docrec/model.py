@@ -9,6 +9,7 @@ diagnosed rather than rejected at construction time.
 from __future__ import annotations
 
 import math
+import sys
 import unicodedata
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
@@ -47,14 +48,15 @@ class BoundingBox:
 
     @property
     def area(self) -> float:
-        # Degenerate/inverted boxes count as zero area.
-        return max(self.width, 0.0) * max(self.height, 0.0)
+        # Degenerate/inverted boxes count as zero area; an int zero keeps int
+        # boxes exact at any size, here and in intersection_area.
+        return max(self.width, 0) * max(self.height, 0)
 
     def intersection_area(self, other: "BoundingBox") -> float:
         w = min(self.x_max, other.x_max) - max(self.x_min, other.x_min)
         h = min(self.y_max, other.y_max) - max(self.y_min, other.y_min)
         if w <= 0 or h <= 0:
-            return 0.0
+            return 0
         return w * h
 
 
@@ -65,11 +67,11 @@ def scale_to_unit(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
     Ratios of widths, heights and areas across the boxes do not change, and
     the scaling is exact for every coordinate that stays normal. Callers use
     it to measure again when an area or a union is not finite, so it is also
-    where a NaN or infinite coordinate is reported: ValueError names the
-    first such box.
+    where a NaN or infinite coordinate, or an int beyond the float range, is
+    reported: ValueError names the first such box.
     """
     for b in boxes:
-        if not all(map(math.isfinite, (b.x_min, b.y_min, b.x_max, b.y_max))):
+        if not all(abs(v) <= sys.float_info.max for v in (b.x_min, b.y_min, b.x_max, b.y_max)):
             raise ValueError(f"box {b} has a non-finite coordinate")
     sx = -math.frexp(max(max(abs(b.x_min), abs(b.x_max)) for b in boxes))[1]
     sy = -math.frexp(max(max(abs(b.y_min), abs(b.y_max)) for b in boxes))[1]

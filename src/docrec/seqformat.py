@@ -43,15 +43,8 @@ from .model import (
 )
 
 
-class Axis(Enum):
-    X_MIN = "Xmin"
-    Y_MIN = "Ymin"
-    X_MAX = "Xmax"
-    Y_MAX = "Ymax"
-
-
-#: Quartet order for every bounding box.
-AXES = (Axis.X_MIN, Axis.Y_MIN, Axis.X_MAX, Axis.Y_MAX)
+#: Quartet order for every bounding box; a coordinate's axis is its place in it.
+AXES = ("Xmin", "Ymin", "Xmax", "Ymax")
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class CategoryTok:
 
 @dataclass(frozen=True)
 class CoordTok:
-    axis: Axis
     bin: int
 
 
@@ -144,10 +136,10 @@ def serialize(doc: Document, bins: int = DEFAULT_BINS) -> TokenSequence:
     tokens: list[Token] = []
 
     def emit_quartet(bbox: BoundingBox) -> None:
-        tokens.append(CoordTok(Axis.X_MIN, quantize_coord(bbox.x_min, w, bins)))
-        tokens.append(CoordTok(Axis.Y_MIN, quantize_coord(bbox.y_min, h, bins)))
-        tokens.append(CoordTok(Axis.X_MAX, quantize_coord(bbox.x_max, w, bins)))
-        tokens.append(CoordTok(Axis.Y_MAX, quantize_coord(bbox.y_max, h, bins)))
+        tokens.append(CoordTok(quantize_coord(bbox.x_min, w, bins)))
+        tokens.append(CoordTok(quantize_coord(bbox.y_min, h, bins)))
+        tokens.append(CoordTok(quantize_coord(bbox.x_max, w, bins)))
+        tokens.append(CoordTok(quantize_coord(bbox.y_max, h, bins)))
 
     def emit_text(text: str) -> None:
         tokens.extend(TextTok(ch) for ch in text)
@@ -200,18 +192,14 @@ class _Cursor:
         raise ParseError(kind, self.pos if offset is None else offset, message)
 
     def read_quartet(self) -> BoundingBox:
+        """Four coordinate tokens, read as Xmin, Ymin, Xmax, Ymax in that order."""
         values = []
         for axis in AXES:
             tok = self.peek()
             if tok is None or not isinstance(tok, CoordTok):
                 self.fail(
                     ParseErrorKind.TRUNCATED_COORD_QUARTET,
-                    f"expected {axis.value} coordinate, got {_describe(tok)}",
-                )
-            if tok.axis is not axis:
-                self.fail(
-                    ParseErrorKind.UNEXPECTED_TOKEN,
-                    f"expected {axis.value} coordinate, got {tok.axis.value}",
+                    f"expected {axis} coordinate, got {_describe(tok)}",
                 )
             if not 0 <= tok.bin < self.bins:
                 self.fail(
@@ -410,16 +398,13 @@ def render_tokens(seq: TokenSequence) -> str:
 def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
     """Inverse of render_tokens: every text that scans renders back to itself.
 
-    Numeric tags carry no axis name, so axes are assigned cyclically
-    (Xmin, Ymin, Xmax, Ymax) within each maximal run of numeric tags; every
-    sequence the serializer emits keeps its quartets contiguous, making the
-    round trip exact. A raw newline is taken only where render_tokens writes
-    one, after each <Sep> but a final one. Bin range is not checked here (the
-    parser reports CoordOutOfRange).
+    A numeric tag becomes a coordinate token holding only its bin; the
+    parser reads its axis from its place in the quartet. A raw newline is
+    taken only where render_tokens writes one, after each <Sep> but a final
+    one. Bin range is not checked here (the parser reports CoordOutOfRange).
     """
     tokens: list[Token] = []
-    run = 0  # position of the current numeric tag in its run
-    run_end = sep_end = -1  # where the last numeric tag and the last <Sep> ended
+    sep_end = -1  # where the last <Sep> ended
     for m in _LEXEME_RE.finditer(text):
         kind, start = m.lastgroup, m.start()
         if kind == "newline":
@@ -434,9 +419,7 @@ def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
             body = m.group("tag")
             tok = _TAGS.get(body)
             if tok is None and _DIGITS_RE.fullmatch(body):
-                run = run + 1 if start == run_end else 0
-                run_end = m.end()
-                tok = CoordTok(AXES[run % 4], int(body))
+                tok = CoordTok(int(body))
             elif tok is None:
                 match = _TD_TAG_RE.fullmatch(body)
                 if match is None:

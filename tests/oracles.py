@@ -37,11 +37,12 @@ def naive_edit_distance(a: str, b: str) -> int:
 
 
 def oracle_iou(a, b) -> float:
+    """IoU by its formula; int zeros keep int boxes in exact integer arithmetic."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = ix * iy if ix > 0 and iy > 0 else 0.0
-    area_a = max(a.x_max - a.x_min, 0.0) * max(a.y_max - a.y_min, 0.0)
-    area_b = max(b.x_max - b.x_min, 0.0) * max(b.y_max - b.y_min, 0.0)
+    inter = ix * iy if ix > 0 and iy > 0 else 0
+    area_a = max(a.x_max - a.x_min, 0) * max(a.y_max - a.y_min, 0)
+    area_b = max(b.x_max - b.x_min, 0) * max(b.y_max - b.y_min, 0)
     union = area_a + area_b - inter
     return inter / union if union > 0 else 0.0
 
@@ -192,7 +193,7 @@ def oracle_matching_cost(targets, preds):
     return out
 
 
-def oracle_discrimination_loss(targets, preds, assignment, literal_eq6=False) -> float:
+def oracle_discrimination_loss(targets, preds, assignment) -> float:
     """Direct re-summation of the discrimination loss, numpy-free."""
     eps = 1e-9
     from docrec.losses import class_index, NO_OBJECT_INDEX
@@ -201,8 +202,7 @@ def oracle_discrimination_loss(targets, preds, assignment, literal_eq6=False) ->
     for k, target in enumerate(targets):
         pred = preds[assignment[k]]
         total += -math.log(max(float(pred.class_probs[class_index(target.category)]), eps))
-        overlap = oracle_iou(pred.box, target.box)
-        total += overlap if literal_eq6 else 1.0 - overlap
+        total += 1.0 - oracle_iou(pred.box, target.box)
         for t in range(min(5, len(target.tokens))):
             if int(target.mask[t]):
                 total += -math.log(max(float(pred.token_probs[t][int(target.tokens[t])]), eps))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -134,6 +135,43 @@ def test_associate_lines_ignores_power_of_two_scale(elements, lines, power):
         )
 
     assert assign(power) == assign(0)
+
+
+def test_associate_lines_measures_huge_int_boxes_exactly():
+    # The element's area, 10**400, is beyond the float range.
+    elements = [(Category.PARAGRAPH, box(0, 0, 10**200, 10**200))]
+    lines = [TextLine(box(0, 0, 1, 1), "x"), TextLine(box(-(10**200), 0, 10**200, 1), "y")]
+    assert associate_lines(elements, lines) == [0, 0]
+    assert associate_lines(elements, lines, AssocConfig(iou_threshold=0.75)) == [0, None]
+
+
+_BIG_INT = st.integers(-20, 20) | st.integers(-(10**400), 10**400)
+_COORD = _BIG_INT | st.floats() | st.sampled_from([1e308, -1e308])
+
+
+def _in_float_range(b):
+    return all(abs(v) <= sys.float_info.max for v in (b.x_min, b.y_min, b.x_max, b.y_max))
+
+
+@example(elements=[box(0, 0, 10**200, 10**200)], lines=[box(0.0, 0.0, 1.0, 1.0)])
+@example(elements=[box(10**400, 0, 10**400, 1)], lines=[box(0.0, 0.0, 1.0, 1.0)])
+# In-range coordinates whose int width times a float height overflows.
+@example(elements=[box(-(10**308), 0.0, 10**308, 1.0)], lines=[box(0.0, 0.0, 1.0, 1.0)])
+@given(
+    st.lists(st.builds(box, _COORD, _COORD, _COORD, _COORD), max_size=4),
+    st.lists(st.builds(box, _COORD, _COORD, _COORD, _COORD), min_size=1, max_size=4),
+)
+def test_associate_lines_assigns_or_names_a_box_on_int_and_float_boxes(elements, lines):
+    try:
+        result = associate_lines(
+            [(Category.PARAGRAPH, b) for b in elements], [TextLine(b, "x") for b in lines]
+        )
+    except ValueError as exc:
+        assert "non-finite coordinate" in str(exc)
+        assert not all(map(_in_float_range, elements + lines))
+        return
+    assert len(result) == len(lines)
+    assert all(r is None or 0 <= r < len(elements) for r in result)
 
 
 def test_fuzzy_match_properties():

@@ -13,7 +13,6 @@ from docrec.losses import (
     NUM_CLASSES,
     ElementPrediction,
     ElementTarget,
-    LossWeights,
     class_index,
     element_discrimination_loss,
     element_transcription_loss,
@@ -345,10 +344,14 @@ def test_matching_cost_matches_per_pair_oracle_on_int_boxes():
         x0, y0 = rng.randint(0, 2**58), rng.randint(0, 2**58)
         return BoundingBox(x0, y0, x0 + rng.randint(2**58, 2**60), y0 + rng.randint(2**58, 2**60))
 
-    targets = [ElementTarget(CLASS_ORDER[0], box(), np.array([0]), np.array([1])) for _ in range(10)]
-    preds = [ElementPrediction(_one_hot(0, NUM_CLASSES), box(), np.full((1, 2), 0.5)) for _ in range(10)]
+    # A 10**200 box has an area beyond the float range.
+    huge = BoundingBox(0, 0, 10**200, 10**200)
+    boxes = [box() for _ in range(20)] + [huge, huge]
+    targets = [ElementTarget(CLASS_ORDER[0], b, np.array([0]), np.array([1])) for b in boxes[::2]]
+    preds = [ElementPrediction(_one_hot(0, NUM_CLASSES), b, np.full((1, 2), 0.5)) for b in boxes[1::2]]
     cost = matching_cost(targets, preds)
     assert cost.tobytes() == oracle_matching_cost(targets, preds).tobytes()
+    assert cost[-1, -1] == 0.0 and cost[-1, 0] == 1.0
 
 
 def test_matching_cost_empty_sides():
@@ -413,28 +416,12 @@ def test_discrimination_loss_matches_oracle():
                 )
             )
         assignment = hungarian_assign(matching_cost(targets, preds))
-        for literal in (False, True):
-            assert element_discrimination_loss(
-                targets, preds, assignment, literal_eq6=literal
-            ) == pytest.approx(
-                oracle_discrimination_loss(targets, preds, assignment, literal),
-                rel=1e-12,
-            )
+        assert element_discrimination_loss(targets, preds, assignment) == pytest.approx(
+            oracle_discrimination_loss(targets, preds, assignment), rel=1e-12
+        )
         assert element_transcription_loss(targets, preds, assignment) == pytest.approx(
             oracle_transcription_loss(targets, preds, assignment), rel=1e-12
         )
-
-
-def test_discrimination_loss_literal_form_penalizes_overlap():
-    target = ElementTarget(
-        category=Category.FIGURE,
-        box=BoundingBox(0, 0, 10, 10),
-        tokens=np.array([0]),
-        mask=np.array([0]),
-    )
-    pred = _perfect_prediction(target, vocab=3)
-    assert element_discrimination_loss([target], [pred], [0]) == 0.0
-    assert element_discrimination_loss([target], [pred], [0], literal_eq6=True) == 1.0
 
 
 def test_discrimination_loss_invariant_under_prediction_permutation():
@@ -602,10 +589,3 @@ def test_sequence_reconstruction_bounded_and_scale_invariant(inputs, data):
 def test_total_loss():
     assert total_loss(0.0, 0.0, 0.0) == 0.0
     assert total_loss(1.0, 2.0, 3.0) == 6.0
-    weights = LossWeights(discrimination=2.0, transcription=1.0, sequence=4.0)
-    assert total_loss(0.5, 1.5, 0.25, weights) == pytest.approx(3.5)
-    with pytest.raises(ValueError):
-        LossWeights(discrimination=-1.0)
-    for bad in ({"discrimination": math.nan}, {"transcription": math.inf}, {"sequence": -math.inf}):
-        with pytest.raises(ValueError):
-            LossWeights(**bad)

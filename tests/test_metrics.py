@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from docrec import metrics
 from docrec.metrics import (
     EmptyDocumentError,
     document_distance,
@@ -31,7 +33,7 @@ from docrec.model import (
     to_json_value,
 )
 from helpers import corrupt_transcriptions, random_corpus, random_document, perturb_document
-from oracles import naive_edit_distance, oracle_document_distance
+from oracles import naive_edit_distance, oracle_document_distance, oracle_iou
 
 
 def _para(box, text, page=1000.0):
@@ -91,6 +93,39 @@ def test_iou_bounded_or_value_error_on_any_float_boxes(a, b):
     except ValueError as exc:
         assert "non-finite coordinate" in str(exc)
         assert not (_finite(a) and _finite(b))
+        return
+    assert 0 <= value <= 1
+
+
+_BIG_INT = st.integers(-20, 20) | st.integers(-(10**400), 10**400)
+_INT_BOXES = st.builds(BoundingBox, _BIG_INT, _BIG_INT, _BIG_INT, _BIG_INT)
+_MIXED = _BIG_INT | _ANY
+_MIXED_BOXES = st.builds(BoundingBox, _MIXED, _MIXED, _MIXED, _MIXED)
+
+
+def _in_float_range(box):
+    return all(abs(v) <= sys.float_info.max for v in (box.x_min, box.y_min, box.x_max, box.y_max))
+
+
+@example(BoundingBox(0, 0, 10**200, 10**200), BoundingBox(0, 0, 1, 1))
+@example(BoundingBox(0, 0, 10**200, 10**200), BoundingBox(0, 0, 10**200, 10**199))
+@example(BoundingBox(0, 0, 10**400, 10**400), BoundingBox(2, 2, 1, 1))
+@given(_INT_BOXES, _INT_BOXES)
+def test_iou_exact_on_int_boxes(a, b):
+    value = iou(a, b)
+    assert value == oracle_iou(a, b)
+    assert 0 <= value <= 1
+
+
+@example(BoundingBox(0, 0, 10**200, 10**200), BoundingBox(0.0, 0.0, 1.0, 1.0))
+@example(BoundingBox(0, 0, 10**400, 10**400), BoundingBox(0.0, 0.0, 1.0, 1.0))
+@given(_MIXED_BOXES, _MIXED_BOXES)
+def test_iou_bounded_or_value_error_on_int_and_float_boxes(a, b):
+    try:
+        value = iou(a, b)
+    except ValueError as exc:
+        assert "non-finite coordinate" in str(exc)
+        assert not (_in_float_range(a) and _in_float_range(b))
         return
     assert 0 <= value <= 1
 
@@ -253,6 +288,25 @@ def test_document_distance_is_bit_identical_to_unpruned_dp_on_degraded_pages():
     for gt, pred in pairs:
         if pred.elements:
             assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
+
+
+def test_document_distance_bounds_its_rounds(monkeypatch):
+    # Equal boxes and equal-length distinct texts: every cell's bound is 0, and
+    # each round makes about k cells exact, so uncapped it takes about k rounds.
+    rng = random.Random(5)
+    texts = ["".join(rng.choice("abcdefgh") for _ in range(40)) for _ in range(120)]
+    box = BoundingBox(0, 0, 10, 10)
+    gt, pred = (_doc(*(_para(box, t) for t in half)) for half in (texts[:60], texts[60:]))
+    rounds = []
+
+    def counted(cost):
+        rounds.append(None)
+        return accumulate(cost)
+
+    accumulate = metrics._accumulate
+    monkeypatch.setattr(metrics, "_accumulate", counted)
+    assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
+    assert len(rounds) <= 16
 
 
 def test_document_distance_empty_raises():

@@ -18,8 +18,6 @@ from docrec.model import (
     TextLine,
 )
 from docrec.seqformat import (
-    AXES,
-    Axis,
     CategoryTok,
     CoordTok,
     HtmlTagTok,
@@ -50,10 +48,10 @@ def test_serialize_single_figure():
     seq = serialize(_figure_doc(), bins=1000)
     assert list(seq.tokens) == [
         CategoryTok(Category.FIGURE),
-        CoordTok(Axis.X_MIN, 0),
-        CoordTok(Axis.Y_MIN, 0),
-        CoordTok(Axis.X_MAX, 999),
-        CoordTok(Axis.Y_MAX, 999),
+        CoordTok(0),
+        CoordTok(0),
+        CoordTok(999),
+        CoordTok(999),
         SepTok(),
     ]
 
@@ -159,7 +157,7 @@ def test_round_trip_document():
 
 
 def test_parse_missing_category():
-    seq = TokenSequence((CoordTok(Axis.X_MIN, 0),))
+    seq = TokenSequence((CoordTok(0),))
     with pytest.raises(ParseError) as err:
         parse(seq, 100, 100)
     assert err.value.kind is ParseErrorKind.MISSING_CATEGORY
@@ -168,12 +166,13 @@ def test_parse_missing_category():
 
 def test_parse_truncated_quartet():
     seq = TokenSequence(
-        (CategoryTok(Category.FIGURE), CoordTok(Axis.X_MIN, 1), CoordTok(Axis.Y_MIN, 1))
+        (CategoryTok(Category.FIGURE), CoordTok(1), CoordTok(1))
     )
     with pytest.raises(ParseError) as err:
         parse(seq, 100, 100)
     assert err.value.kind is ParseErrorKind.TRUNCATED_COORD_QUARTET
     assert err.value.offset == 3
+    assert "expected Xmax coordinate, got end of sequence" in str(err.value)
 
 
 def test_parse_unterminated_element():
@@ -227,10 +226,10 @@ def test_parse_stray_table_tag_in_paragraph():
 def test_parse_coord_out_of_range():
     tokens = (
         CategoryTok(Category.FIGURE),
-        CoordTok(Axis.X_MIN, 0),
-        CoordTok(Axis.Y_MIN, 1000),
-        CoordTok(Axis.X_MAX, 10),
-        CoordTok(Axis.Y_MAX, 10),
+        CoordTok(0),
+        CoordTok(1000),
+        CoordTok(10),
+        CoordTok(10),
         SepTok(),
     )
     with pytest.raises(ParseError) as err:
@@ -252,10 +251,10 @@ def test_parse_allows_invalid_geometry():
     # min > max parses fine; geometry is validate_document's job.
     tokens = (
         CategoryTok(Category.FIGURE),
-        CoordTok(Axis.X_MIN, 50),
-        CoordTok(Axis.Y_MIN, 0),
-        CoordTok(Axis.X_MAX, 10),
-        CoordTok(Axis.Y_MAX, 10),
+        CoordTok(50),
+        CoordTok(0),
+        CoordTok(10),
+        CoordTok(10),
         SepTok(),
     )
     doc = parse(TokenSequence(tokens, bins=100), 100, 100)
@@ -267,10 +266,10 @@ _FUZZ_POOL = (
     CategoryTok(Category.TABLE),
     CategoryTok(Category.FORMULA),
     CategoryTok(Category.FIGURE),
-    CoordTok(Axis.X_MIN, 3),
-    CoordTok(Axis.Y_MIN, 7),
-    CoordTok(Axis.X_MAX, 90),
-    CoordTok(Axis.Y_MAX, 2000),
+    CoordTok(3),
+    CoordTok(7),
+    CoordTok(90),
+    CoordTok(2000),
     TextTok("a"),
     TextTok("<"),
     LineSepTok(),
@@ -406,32 +405,43 @@ def test_scanned_text_renders_back_to_itself(text):
     assert render_tokens(seq) == text
 
 
-def test_scan_assigns_axes_cyclically():
-    seq = scan_tokens("<Figure><1><2><3><4>x<5>")
-    coords = [t for t in seq.tokens if isinstance(t, CoordTok)]
-    assert [c.axis for c in coords[:4]] == list(AXES)
-    # Run reset by the text token: the fifth coordinate starts a new quartet.
-    assert coords[4].axis is Axis.X_MIN
+#: Canonical tokens: a bin >= 0, one character per text token, spans absent or >= 0.
+_CANONICAL_TOKEN = st.one_of(
+    st.builds(CategoryTok, st.sampled_from(Category)),
+    st.builds(CoordTok, st.integers(min_value=0)),
+    st.builds(TextTok, st.characters()),
+    st.just(SepTok()),
+    st.just(LineSepTok()),
+    st.sampled_from([HtmlTagTok("tr"), HtmlTagTok("/tr"), HtmlTagTok("/td")]),
+    st.builds(HtmlTagTok, st.just("td"), *[st.none() | st.integers(min_value=0)] * 2),
+)
+
+
+@example(TokenSequence((SepTok(), TextTok("\n"), CoordTok(0), TextTok("<"), SepTok()), bins=2))
+@settings(max_examples=500)
+@given(st.builds(TokenSequence, st.lists(_CANONICAL_TOKEN), st.integers(2, 2000)))
+def test_rendered_tokens_scan_back_to_themselves(seq):
+    assert scan_tokens(render_tokens(seq), bins=seq.bins) == seq
 
 
 _BIN = st.integers(-3, 2003)
 _SPAN = st.one_of(st.none(), st.integers(-2, 4))
 _TOKEN = st.one_of(
     st.builds(CategoryTok, st.sampled_from(Category)),
-    st.builds(CoordTok, st.sampled_from(Axis), _BIN),
+    st.builds(CoordTok, _BIN),
     st.builds(TextTok, st.text(max_size=2)),
     st.just(SepTok()),
     st.just(LineSepTok()),
     st.builds(HtmlTagTok, st.sampled_from(["tr", "/tr", "td", "/td", "th"]), _SPAN, _SPAN),
 )
 # A whole coordinate quartet, so that parses get past the first box.
-_QUARTET = st.tuples(*(st.builds(CoordTok, st.just(axis), _BIN) for axis in AXES)).map(list)
+_QUARTET = st.lists(st.builds(CoordTok, _BIN), min_size=4, max_size=4)
 _PAGE_SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @example(
-    [CategoryTok(Category.TABLE), *(CoordTok(axis, 0) for axis in AXES),
-     HtmlTagTok("tr"), HtmlTagTok("td", rowspan=-1, colspan=0), *(CoordTok(axis, 1) for axis in AXES),
+    [CategoryTok(Category.TABLE), *[CoordTok(0)] * 4,
+     HtmlTagTok("tr"), HtmlTagTok("td", rowspan=-1, colspan=0), *[CoordTok(1)] * 4,
      HtmlTagTok("/td"), HtmlTagTok("/tr"), SepTok()],
     2,
     1.0,
