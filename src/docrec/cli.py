@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gtgen.add_argument("--output", "-o", default=None)
     p_gtgen.add_argument("--min-gap", type=float, default=5.0)
     p_gtgen.add_argument("--y-tolerance", type=float, default=10.0)
-    p_gtgen.add_argument("--iou-threshold", type=float, default=0.5)
+    p_gtgen.add_argument("--iou-threshold", type=float, default=0.5,
+                         help="least score for an element to claim a line; the score is the share "
+                         "of the line's area the element covers, in (0, 1]")
     p_gtgen.set_defaults(func=functools.partial(_per_document, _gtgen))
 
     return parser

@@ -54,6 +54,11 @@ def associate_lines(
 
     Int boxes measure exactly. Float boxes whose areas overflow, and int and
     float mixes, measure on scaled copies (``scale_to_unit`` names a bad box).
+
+    A line is measured only against the elements it overlaps with positive
+    width and height. Skipping the rest is exact: their intersection is 0 (for
+    ints and finite floats ``a < b`` exactly when ``b - a > 0``), the threshold
+    is positive and the key ends in the unique index.
     """
     cfg = cfg or AssocConfig()
     boxes = [box for _, box in elements]
@@ -69,7 +74,10 @@ def associate_lines(
         best: int | None = None
         best_key: tuple[float, float, int] | None = None
         if line_area > 0:
+            x0, y0, x1, y1 = line_box.x_min, line_box.y_min, line_box.x_max, line_box.y_max
             for idx, box in enumerate(line_boxes):
+                if not (box.x_min < x1 and x0 < box.x_max and box.y_min < y1 and y0 < box.y_max):
+                    continue
                 ratio = line_box.intersection_area(box) / line_area
                 if ratio < cfg.iou_threshold:
                     continue

@@ -17,6 +17,7 @@ from docrec.model import (
     FormulaContent,
     ParagraphContent,
     TableContent,
+    scale_to_unit,
 )
 
 
@@ -191,6 +192,44 @@ def oracle_matching_cost(targets, preds):
             p = max(float(pred.class_probs[ci]), LOG_EPS)
             out[k, n] = -math.log(p) + (1.0 - iou(pred.box, target.box))
     return out
+
+
+def _as_is(box, kind) -> bool:
+    same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
+    return same and (kind is int or math.isfinite(box.area))
+
+
+def oracle_associate_lines(elements, lines, cfg=None):
+    """Every line measured against every element: the all-pairs loop.
+
+    ``associate_lines`` skips the pairs that cannot overlap and must return
+    the same assignments, or raise the same ``ValueError``.
+    """
+    from docrec.gtgen import AssocConfig
+
+    cfg = cfg or AssocConfig()
+    boxes = [box for _, box in elements]
+    ints = all(_as_is(box, int) for box in boxes)
+    floats = all(_as_is(box, float) for box in boxes)
+    result = []
+    for line in lines:
+        line_box, line_boxes = line.bbox, boxes
+        if not (ints and _as_is(line_box, int) or floats and _as_is(line_box, float)):
+            line_box, *line_boxes = scale_to_unit([line_box, *boxes])
+        line_area = line_box.area
+        best = None
+        best_key = None
+        if line_area > 0:
+            for idx, box in enumerate(line_boxes):
+                ratio = line_box.intersection_area(box) / line_area
+                if ratio < cfg.iou_threshold:
+                    continue
+                key = (-ratio, box.area, idx)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = idx
+        result.append(best)
+    return result
 
 
 def oracle_discrimination_loss(targets, preds, assignment) -> float:

@@ -22,7 +22,7 @@ from docrec.model import (
     validate_document,
 )
 from docrec.readorder import OrderConfig
-from oracles import naive_edit_distance
+from oracles import naive_edit_distance, oracle_associate_lines
 
 
 def box(x0, y0, x1, y1):
@@ -162,16 +162,85 @@ def _in_float_range(b):
     st.lists(st.builds(box, _COORD, _COORD, _COORD, _COORD), min_size=1, max_size=4),
 )
 def test_associate_lines_assigns_or_names_a_box_on_int_and_float_boxes(elements, lines):
+    args = [(Category.PARAGRAPH, b) for b in elements], [TextLine(b, "x") for b in lines]
     try:
-        result = associate_lines(
-            [(Category.PARAGRAPH, b) for b in elements], [TextLine(b, "x") for b in lines]
-        )
+        expected = oracle_associate_lines(*args)
     except ValueError as exc:
         assert "non-finite coordinate" in str(exc)
         assert not all(map(_in_float_range, elements + lines))
+        with pytest.raises(ValueError) as raised:
+            associate_lines(*args)
+        assert str(raised.value) == str(exc)
         return
+    result = associate_lines(*args)
+    assert result == expected
     assert len(result) == len(lines)
     assert all(r is None or 0 <= r < len(elements) for r in result)
+
+
+@st.composite
+def _grid_case(draw):
+    """Boxes on a coarse grid, so that edges touch and coordinates tie often."""
+    kind = draw(st.sampled_from([int, float]))
+    coord = st.sampled_from([0, 1, 2, 3, 5, 8]).map(kind)
+    grid_box = st.builds(
+        lambda xs, ys: box(min(xs), min(ys), max(xs), max(ys)),
+        st.tuples(coord, coord), st.tuples(coord, coord),
+    ) | st.builds(box, coord, coord, coord, coord)
+    if kind is float:
+        # Area 0 with an infinite coordinate: measured unscaled.
+        grid_box |= st.sampled_from([box(5.0, 0.0, -math.inf, 10.0), box(0.0, math.inf, 3.0, 1.0)])
+    return (
+        draw(st.lists(grid_box, max_size=8)),
+        draw(st.lists(grid_box, min_size=1, max_size=6)),
+        draw(st.sampled_from([0.01, 0.3, 0.5, 1.0])),
+    )
+
+
+# A line on a shared edge, a zero-area line, a line over three elements, tied
+# y_min, and an area-0 element with an infinite coordinate.
+@example(case=([box(0, 0, 2, 2), box(2, 0, 4, 2)], [box(2, 0, 3, 1), box(1, 1, 1, 3)], 0.5))
+@example(case=([box(0.0, 0.0, 2.0, 2.0), box(2.0, 0.0, 5.0, 2.0), box(5.0, 0.0, 8.0, 2.0)],
+               [box(1.0, 0.0, 8.0, 1.0)], 0.3))
+@example(case=([box(0, 0, 3, 3), box(1, 0, 2, 3)], [box(1, 0, 2, 1)], 1.0))
+@example(case=([box(5.0, 0.0, -math.inf, 10.0), box(0.0, 0.0, 5.0, 5.0)], [box(1.0, 1.0, 2.0, 2.0)], 0.01))
+@given(_grid_case())
+def test_associate_lines_matches_all_pairs_on_grid_boxes(case):
+    elements, lines, threshold = case
+    args = [(Category.PARAGRAPH, b) for b in elements], [TextLine(b, "x") for b in lines]
+    cfg = AssocConfig(iou_threshold=threshold)
+    assert associate_lines(*args, cfg) == oracle_associate_lines(*args, cfg)
+
+
+def test_associate_lines_measures_only_overlapping_pairs(monkeypatch):
+    # 120 elements on a grid with gaps, and 600 lines of random size and place;
+    # all coordinates are multiples of 5, so many lines touch an element's edge.
+    elements = [
+        (Category.PARAGRAPH, box(70.0 * c, 50.0 * r, 70.0 * c + 60, 50.0 * r + 40))
+        for r in range(12) for c in range(10)
+    ]
+    rng = random.Random(14)
+    lines = []
+    for _ in range(600):
+        x, y = 5.0 * rng.randrange(140), 5.0 * rng.randrange(120)
+        lines.append(TextLine(box(x, y, x + 5 * rng.randint(1, 16), y + 5 * rng.randint(1, 3)), "x"))
+    overlapping = sum(
+        min(a.x_max, b.x_max) > max(a.x_min, b.x_min) and min(a.y_max, b.y_max) > max(a.y_min, b.y_min)
+        for a in (line.bbox for line in lines) for _, b in elements
+    )
+    calls = 0
+    measure = BoundingBox.intersection_area
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return measure(self, other)
+
+    monkeypatch.setattr(BoundingBox, "intersection_area", counted)
+    result = associate_lines(elements, lines)
+    monkeypatch.undo()
+    assert calls == overlapping < len(lines) * len(elements) // 20
+    assert result == oracle_associate_lines(elements, lines)
 
 
 def test_fuzzy_match_properties():
