@@ -43,11 +43,14 @@ def _round_floats(value: Any) -> Any:
 
 
 def _read_text(path: str) -> str:
+    """The bytes of ``path``, or of stdin for "-", decoded as strict UTF-8 and nothing else."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -60,17 +63,18 @@ def _load_objects(path: str) -> list[tuple[str, Any]]:
     """Decode a newline-delimited JSON file into ("path:line", value) pairs.
 
     Lines end at "\\n" only: JSON strings may hold a raw U+2028 or U+0085,
-    which ``str.splitlines`` would take for a line end. The non-standard
-    literals NaN, Infinity and -Infinity are rejected.
+    which ``str.splitlines`` would take for a line end. A line of JSON
+    whitespace is skipped. The non-standard literals NaN, Infinity and
+    -Infinity are rejected, and so is nesting too deep to decode.
     """
     out = []
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         where = f"{path}:{lineno}"
         try:
             out.append((where, json.loads(line, parse_constant=_reject_constant)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: invalid JSON: {exc}") from exc
     return out
 
@@ -79,14 +83,14 @@ def _emit(results: Iterable[tuple[str, Any]], path: str | None = None) -> None:
     """Write one line of JSON per ``(where, payload)`` pair, floats rounded by ``_round_floats``.
 
     Every line is encoded before the first is written, so a payload holding
-    NaN or an infinity raises ValueError prefixed with its ``where`` and
-    leaves no partial output.
+    NaN or an infinity, or nested too deep to encode, raises ValueError
+    prefixed with its ``where`` and leaves no partial output.
     """
     lines = []
     for where, payload in results:
         try:
             lines.append(json.dumps(_round_floats(payload), allow_nan=False) + "\n")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
     if path in (None, "-"):
         sys.stdout.writelines(lines)

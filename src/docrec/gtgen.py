@@ -20,7 +20,7 @@ from .model import (
     Element,
     ParagraphContent,
     TextLine,
-    scale_to_unit,
+    exact_boxes,
 )
 from .readorder import OrderConfig, row_bands, xy_cut_order
 
@@ -35,7 +35,7 @@ class AssocConfig:
 
 
 def _as_is(box: BoundingBox, kind: type) -> bool:
-    """Whether ``box`` measures unscaled: every coordinate a ``kind``, a float area finite."""
+    """Whether ``box`` measures as given: every coordinate a ``kind``, a float area finite."""
     same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
     return same and (kind is int or math.isfinite(box.area))
 
@@ -52,8 +52,9 @@ def associate_lines(
     stay unassigned (None); ties prefer the smaller element, then the lower
     index.
 
-    Int boxes measure exactly. Float boxes whose areas overflow, and int and
-    float mixes, measure on scaled copies (``scale_to_unit`` names a bad box).
+    All-int boxes, and all-float boxes with finite areas, measure as given.
+    Any other call measures on ``exact_boxes`` copies of every box, which
+    also names a box with a NaN or infinite coordinate.
 
     A line is measured only against the elements it overlaps with positive
     width and height. Skipping the rest is exact: their intersection is 0 (for
@@ -62,20 +63,18 @@ def associate_lines(
     """
     cfg = cfg or AssocConfig()
     boxes = [box for _, box in elements]
-    ints = all(_as_is(box, int) for box in boxes)
-    floats = all(_as_is(box, float) for box in boxes)
+    line_boxes = [line.bbox for line in lines]
+    every = boxes + line_boxes
+    if not (all(_as_is(box, int) for box in every) or all(_as_is(box, float) for box in every)):
+        boxes, line_boxes = exact_boxes(boxes), exact_boxes(line_boxes)
     result: list[int | None] = []
-    for line in lines:
-        line_box, line_boxes = line.bbox, boxes
-        if not (ints and _as_is(line_box, int) or floats and _as_is(line_box, float)):
-            # The ratios and their order survive scaling.
-            line_box, *line_boxes = scale_to_unit([line_box, *boxes])
+    for line_box in line_boxes:
         line_area = line_box.area
         best: int | None = None
         best_key: tuple[float, float, int] | None = None
         if line_area > 0:
             x0, y0, x1, y1 = line_box.x_min, line_box.y_min, line_box.x_max, line_box.y_max
-            for idx, box in enumerate(line_boxes):
+            for idx, box in enumerate(boxes):
                 if not (box.x_min < x1 and x0 < box.x_max and box.y_min < y1 and y0 < box.y_max):
                     continue
                 ratio = line_box.intersection_area(box) / line_area

@@ -154,7 +154,7 @@ def matching_cost(
     ``-log(max(p, LOG_EPS)) + (1 - iou(pred.box, target.box))`` per pair: the
     IoU takes ``iou``'s operations in ``iou``'s order, and every cell whose
     union is not finite (an overflowed area, a NaN or inf coordinate) is
-    computed by ``iou`` itself, which owns the overflow rescale.
+    computed by ``iou`` itself, which measures such boxes exactly.
     """
     k, n = len(targets), len(preds)
     if k == 0 or n == 0:
@@ -191,9 +191,8 @@ def _masked_token_nll(
             "prediction and target must use the same padded sequence length, got "
             f"{pred.token_probs.shape[0]} vs {len(target.tokens)}"
         )
+    # An empty span, as for a target of at most five tokens, sums to 0.0.
     stop = min(stop, len(target.tokens))
-    if stop <= start:
-        return 0.0
     steps = np.arange(start, stop)
     ids = target.tokens[start:stop]
     mask = target.mask[start:stop]

@@ -16,23 +16,23 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .convert import element_text, to_markdown
-from .model import BoundingBox, Document, Element, scale_to_unit
+from .model import BoundingBox, Document, Element, exact_boxes
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 when the union has zero area; exact on int boxes."""
+    """Intersection over union; 0.0 when the union has zero area. A union floats
+    cannot hold is measured on ``exact_boxes`` copies: the true ratio, rounded once."""
     try:
         inter = a.intersection_area(b)
         union = a.area + b.area - inter
-        if type(union) is int or math.isfinite(union):
+        if math.isfinite(union):
             return inter / union if union > 0 else 0.0
-    except OverflowError:  # an int beyond the float range met a float
+    except OverflowError:  # an int beyond the float range
         pass
-    # An area overflowed; IoU does not change when an axis is scaled.
-    a, b = scale_to_unit((a, b))
+    a, b = exact_boxes((a, b))
     inter = a.intersection_area(b)
     union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
+    return float(inter / union) if union > 0 else 0.0
 
 
 def edit_distance(a: str, b: str) -> int:

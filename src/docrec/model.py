@@ -9,7 +9,6 @@ diagnosed rather than rejected at construction time.
 from __future__ import annotations
 
 import math
-import sys
 import unicodedata
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
@@ -60,30 +59,22 @@ class BoundingBox:
         return w * h
 
 
-def scale_to_unit(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
-    """The boxes with each axis scaled by one power of two, so that the largest
-    magnitude on that axis lies in [0.5, 1).
+def exact_boxes(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
+    """The boxes with every coordinate a ``Fraction``, which holds ints and finite floats exactly.
 
-    Ratios of widths, heights and areas across the boxes do not change, and
-    the scaling is exact for every coordinate that stays normal. Callers use
-    it to measure again when an area or a union is not finite, so it is also
-    where a NaN or infinite coordinate, or an int beyond the float range, is
-    reported: ValueError names the first such box.
+    Callers measure on these where floats cannot: an area or a union that
+    overflows, or ints beyond the float range next to floats. ValueError names
+    the first box with a NaN or infinite coordinate.
     """
+    from fractions import Fraction  # only this rare path pays the import
+
+    out = []
     for b in boxes:
-        if not all(abs(v) <= sys.float_info.max for v in (b.x_min, b.y_min, b.x_max, b.y_max)):
-            raise ValueError(f"box {b} has a non-finite coordinate")
-    sx = -math.frexp(max(max(abs(b.x_min), abs(b.x_max)) for b in boxes))[1]
-    sy = -math.frexp(max(max(abs(b.y_min), abs(b.y_max)) for b in boxes))[1]
-    return [
-        BoundingBox(
-            math.ldexp(b.x_min, sx),
-            math.ldexp(b.y_min, sy),
-            math.ldexp(b.x_max, sx),
-            math.ldexp(b.y_max, sy),
-        )
-        for b in boxes
-    ]
+        try:
+            out.append(BoundingBox(*map(Fraction, (b.x_min, b.y_min, b.x_max, b.y_max))))
+        except (ValueError, OverflowError):  # Fraction takes no NaN or infinity
+            raise ValueError(f"box {b} has a non-finite coordinate") from None
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from docrec.model import (
+    BoundingBox,
     Document,
     Element,
     FormulaContent,
     ParagraphContent,
     TableContent,
-    scale_to_unit,
 )
 
 
@@ -177,7 +178,7 @@ def oracle_matching_cost(targets, preds):
     """The per-pair matching cost, one ``iou`` call per cell.
 
     Calls the production ``iou`` on purpose: the array form of
-    ``matching_cost`` must equal this loop bit for bit, overflow rescale
+    ``matching_cost`` must equal this loop bit for bit, exact measures
     included.
     """
     import numpy as np
@@ -194,37 +195,52 @@ def oracle_matching_cost(targets, preds):
     return out
 
 
+def _area(box):
+    return max(box.x_max - box.x_min, 0) * max(box.y_max - box.y_min, 0)
+
+
 def _as_is(box, kind) -> bool:
     same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
-    return same and (kind is int or math.isfinite(box.area))
+    return same and (kind is int or math.isfinite(_area(box)))
+
+
+def _exact(box):
+    """``box`` in Fractions; a NaN or infinity raises the error production raises."""
+    coords = (box.x_min, box.y_min, box.x_max, box.y_max)
+    if any(v != v or v in (math.inf, -math.inf) for v in coords):
+        raise ValueError(f"box {box} has a non-finite coordinate")
+    return BoundingBox(*(Fraction(v) for v in coords))
 
 
 def oracle_associate_lines(elements, lines, cfg=None):
     """Every line measured against every element: the all-pairs loop.
 
-    ``associate_lines`` skips the pairs that cannot overlap and must return
-    the same assignments, or raise the same ``ValueError``.
+    A call whose boxes are neither all int nor all float with finite areas is
+    measured in Fractions. ``associate_lines`` skips the pairs that cannot
+    overlap and must return the same assignments, or raise the same
+    ``ValueError``.
     """
     from docrec.gtgen import AssocConfig
 
     cfg = cfg or AssocConfig()
     boxes = [box for _, box in elements]
-    ints = all(_as_is(box, int) for box in boxes)
-    floats = all(_as_is(box, float) for box in boxes)
+    line_boxes = [line.bbox for line in lines]
+    every = boxes + line_boxes
+    if not (all(_as_is(b, int) for b in every) or all(_as_is(b, float) for b in every)):
+        boxes, line_boxes = [_exact(b) for b in boxes], [_exact(b) for b in line_boxes]
     result = []
-    for line in lines:
-        line_box, line_boxes = line.bbox, boxes
-        if not (ints and _as_is(line_box, int) or floats and _as_is(line_box, float)):
-            line_box, *line_boxes = scale_to_unit([line_box, *boxes])
-        line_area = line_box.area
+    for line_box in line_boxes:
+        line_area = _area(line_box)
         best = None
         best_key = None
         if line_area > 0:
-            for idx, box in enumerate(line_boxes):
-                ratio = line_box.intersection_area(box) / line_area
+            for idx, box in enumerate(boxes):
+                ix = min(line_box.x_max, box.x_max) - max(line_box.x_min, box.x_min)
+                iy = min(line_box.y_max, box.y_max) - max(line_box.y_min, box.y_min)
+                ratio = (ix * iy if ix > 0 and iy > 0 else 0) / line_area
                 if ratio < cfg.iou_threshold:
                     continue
-                key = (-ratio, box.area, idx)
+                key = (-ratio, _area(box), idx)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = idx

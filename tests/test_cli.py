@@ -534,6 +534,61 @@ def test_ndjson_lines_end_at_newline_only(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        # Two documents on one line: a lone "\r" does not end a line.
+        (["validate"], (_PAGE + "\r" + _PAGE + "\n").encode("utf-8")),
+        # Token text whose paragraph text holds a raw "\r".
+        (["validate", "--format", "tokens"], b"<Paragraph><0><0><9><9><1><1><8><8>a\rb<Sep>"),
+    ],
+    ids=["lone-cr-between-documents", "cr-in-token-text"],
+)
+def test_path_and_stdin_read_the_same_bytes(tmp_path, capsys, monkeypatch, argv, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    by_path = main([argv[0], str(path), *argv[1:]]), capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert (main([argv[0], "-", *argv[1:]]), capsys.readouterr().out) == by_path
+
+
+@pytest.mark.parametrize("blank", ["\u2028", "\u0085", "\x1c", "\u00a0"])
+def test_only_json_whitespace_makes_a_blank_line(tmp_path, capsys, blank):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{_PAGE}\n \t\r\n{_PAGE}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"documents": 2, "valid": True}
+    path.write_text(f"{_PAGE}\n{blank}\n{_PAGE}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: invalid JSON")
+
+
+def _assert_fails_at_line_2(capsys, argv, path):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: ")
+    assert "maximum recursion depth exceeded" in err
+
+
+def test_nesting_too_deep_to_decode_names_its_line(tmp_path, capsys):
+    path = tmp_path / "page.jsonl"
+    path.write_text(_PAGE + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    _assert_fails_at_line_2(capsys, ["validate", str(path)], path)
+
+
+def test_nesting_too_deep_to_write_back_names_its_line(tmp_path, capsys):
+    # A pass-through key 900 lists deep: it decodes, and validate accepts the page.
+    deep = _PAGE.replace("{", '{"id": ' + "[" * 900 + "]" * 900 + ", ", 1)
+    path = tmp_path / "page.jsonl"
+    path.write_text(_PAGE + "\n" + deep + "\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    _assert_fails_at_line_2(capsys, ["order", str(path)], path)
+
+
 def test_order_deeply_nested_layout(tmp_path, capsys):
     boxes = staircase_boxes(1500)
     perm = list(range(len(boxes)))

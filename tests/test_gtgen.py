@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import example, given
@@ -145,12 +144,27 @@ def test_associate_lines_measures_huge_int_boxes_exactly():
     assert associate_lines(elements, lines, AssocConfig(iou_threshold=0.75)) == [0, None]
 
 
+def test_associate_lines_measures_a_tiny_line_in_a_huge_float_element():
+    # The line's area is 1 and the element's overflows; a rescaled copy of
+    # the line would have an area of about 1e-400, which underflows to 0.
+    elements = [(Category.PARAGRAPH, box(0.0, 0.0, 1e200, 1e200))]
+    assert associate_lines(elements, [TextLine(box(0.0, 0.0, 1.0, 1.0), "x")]) == [0]
+
+
+def test_associate_lines_measures_an_int_beyond_the_float_range_next_to_floats():
+    big = 10**400
+    elements = [(Category.PARAGRAPH, box(-big, 0.0, big, 1.0)), (Category.PARAGRAPH, box(0.0, 0.0, 3.0, 1.0))]
+    lines = [TextLine(box(0.0, 0.0, 1.0, 1.0), "x"), TextLine(box(-big, 0, 0, 1), "y")]
+    assert associate_lines(elements, lines) == [1, 0]
+    assert associate_lines(elements, lines) == oracle_associate_lines(elements, lines)
+
+
 _BIG_INT = st.integers(-20, 20) | st.integers(-(10**400), 10**400)
 _COORD = _BIG_INT | st.floats() | st.sampled_from([1e308, -1e308])
 
 
-def _in_float_range(b):
-    return all(abs(v) <= sys.float_info.max for v in (b.x_min, b.y_min, b.x_max, b.y_max))
+def _has_nan_or_inf(b):
+    return any(v != v or abs(v) == math.inf for v in (b.x_min, b.y_min, b.x_max, b.y_max))
 
 
 @example(elements=[box(0, 0, 10**200, 10**200)], lines=[box(0.0, 0.0, 1.0, 1.0)])
@@ -167,7 +181,7 @@ def test_associate_lines_assigns_or_names_a_box_on_int_and_float_boxes(elements,
         expected = oracle_associate_lines(*args)
     except ValueError as exc:
         assert "non-finite coordinate" in str(exc)
-        assert not all(map(_in_float_range, elements + lines))
+        assert any(map(_has_nan_or_inf, elements + lines))
         with pytest.raises(ValueError) as raised:
             associate_lines(*args)
         assert str(raised.value) == str(exc)

@@ -186,14 +186,24 @@ def test_prediction_validation():
         box=BoundingBox(0, 0, 1, 1),
         token_probs=np.ones((2, 4)) / 4,
     )
+    # Wrong shapes, each made of probability vectors that sum to 1.
+    with pytest.raises(ValueError, match="class_probs must have shape"):
+        ElementPrediction(np.full(4, 0.25), BoundingBox(0, 0, 1, 1), np.ones((2, 4)) / 4)
+    for token_probs in (np.ones(4) / 4, np.ones((1, 2, 4)) / 4):
+        with pytest.raises(ValueError, match="token_probs must be a"):
+            ElementPrediction(_one_hot(0, NUM_CLASSES), BoundingBox(0, 0, 1, 1), token_probs)
 
 
 @pytest.mark.parametrize(
     "tokens, mask",
-    [([1.7, 2], [1, 1]), ([1, 2], [0.5, 1]), ([1, 2], [math.nan, 1]), ([math.inf, 2], [1, 1])],
+    [
+        ([1.7, 2], [1, 1]), ([1, 2], [0.5, 1]), ([1, 2], [math.nan, 1]), ([math.inf, 2], [1, 1]),
+        ([1, 2], [1]), ([[1, 2]], [[1, 1]]), ([-1, 2], [1, 1]),
+    ],
 )
 def test_target_rejects_fractional_and_non_finite_entries(tokens, mask):
-    # The int cast would truncate these to valid ids and mask bits.
+    # The int cast would truncate the first four to valid ids and mask bits;
+    # then come rows of the wrong shape and a negative id.
     with pytest.raises(ValueError):
         ElementTarget(Category.FIGURE, BoundingBox(0, 0, 1, 1), np.array(tokens), np.array(mask))
 
@@ -478,6 +488,38 @@ def test_transcription_loss_rejects_out_of_vocab():
     pred = _no_object_prediction(6, vocab=8)
     with pytest.raises(ValueError):
         element_transcription_loss([target], [pred], [0])
+
+
+_BOX = BoundingBox(0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("loss", [element_discrimination_loss, element_transcription_loss])
+@pytest.mark.parametrize(
+    "steps, assignment, message",
+    [
+        (6, [0, 1, 2], "assignment must map every target"),
+        (6, [1, 1], "assignment must be injective"),
+        (6, [0, -1], "assignment index outside prediction range"),
+        (7, [0, 1], "same padded sequence length, got 7 vs 6"),
+    ],
+    ids=["too-long", "not-injective", "negative-index", "padded-length"],
+)
+def test_losses_reject_bad_assignments_and_lengths(loss, steps, assignment, message):
+    targets = [
+        ElementTarget(Category.FIGURE, _BOX, np.arange(6), np.ones(6, dtype=int)) for _ in range(2)
+    ]
+    preds = [_no_object_prediction(steps, vocab=8) for _ in range(3)]
+    with pytest.raises(ValueError, match=message):
+        loss(targets, preds, assignment)
+
+
+@pytest.mark.parametrize("steps", [0, 3, 5])
+def test_targets_of_at_most_five_tokens_have_no_transcription_loss(steps):
+    target = ElementTarget(Category.FIGURE, _BOX, np.arange(steps) % 4, np.ones(steps, dtype=int))
+    uniform = ElementPrediction(_one_hot(class_index(Category.FIGURE), NUM_CLASSES), _BOX, np.full((steps, 4), 0.25))
+    assert element_transcription_loss([target], [uniform], [0]) == 0.0
+    # The discrimination loss reads the tokens there are, and no more.
+    assert element_discrimination_loss([target], [uniform], [0]) == pytest.approx(steps * math.log(4))
 
 
 def test_raising_correct_token_probability_never_raises_loss():

@@ -1,6 +1,6 @@
 import math
 import random
-import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,8 +103,8 @@ _MIXED = _BIG_INT | _ANY
 _MIXED_BOXES = st.builds(BoundingBox, _MIXED, _MIXED, _MIXED, _MIXED)
 
 
-def _in_float_range(box):
-    return all(abs(v) <= sys.float_info.max for v in (box.x_min, box.y_min, box.x_max, box.y_max))
+def _has_nan_or_inf(box):
+    return any(v != v or abs(v) == math.inf for v in (box.x_min, box.y_min, box.x_max, box.y_max))
 
 
 @example(BoundingBox(0, 0, 10**200, 10**200), BoundingBox(0, 0, 1, 1))
@@ -125,9 +125,21 @@ def test_iou_bounded_or_value_error_on_int_and_float_boxes(a, b):
         value = iou(a, b)
     except ValueError as exc:
         assert "non-finite coordinate" in str(exc)
-        assert not (_in_float_range(a) and _in_float_range(b))
+        assert _has_nan_or_inf(a) or _has_nan_or_inf(b)
         return
     assert 0 <= value <= 1
+
+
+def test_iou_measures_an_int_beyond_the_float_range_next_to_floats():
+    big = 10**400
+    cases = [
+        (BoundingBox(-big, 0, big, 1.0), BoundingBox(0, 0.0, big, 1.0), Fraction(1, 2)),
+        (BoundingBox(0, 0, 3 * big, 1.0), BoundingBox(0.0, 0.0, big, 1), Fraction(1, 3)),
+        (BoundingBox(0, 0, big, big), BoundingBox(0.0, 0.0, 1e300, 1e300), Fraction(1e300) ** 2 / big**2),
+    ]
+    for a, b, exact in cases:
+        assert iou(a, b) == iou(b, a) == float(exact)
+        assert 0 < iou(a, b) <= 1
 
 
 def test_edit_distance_examples():

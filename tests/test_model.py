@@ -169,7 +169,14 @@ def test_validate_reports_out_of_bounds_and_spans_and_text():
             Element(
                 Category.TABLE,
                 BoundingBox(0, 60, 90, 90),
-                TableContent(((TableCell(BoundingBox(1, 61, 40, 80), 0, 1, "x"),),)),
+                TableContent(
+                    (
+                        (
+                            TableCell(BoundingBox(1, 61, 40, 80), 0, 1, "x"),
+                            TableCell(BoundingBox(41, 61, 80, 80), 1, 0, "y"),
+                        ),
+                    )
+                ),
             ),
             Element(
                 Category.PARAGRAPH,
@@ -178,12 +185,15 @@ def test_validate_reports_out_of_bounds_and_spans_and_text():
                     (TextLine(BoundingBox(1, 92, 40, 98), "bad\x00char"),)
                 ),
             ),
+            Element("Figure", BoundingBox(60, 91, 70, 99), FigureContent()),
         ),
     )
     problems = validate_document(doc)
     assert any("outside page" in p for p in problems)
     assert any("rowspan 0 < 1" in p for p in problems)
+    assert "element 1 cell 0,1: colspan 0 < 1" in problems
     assert any("control character" in p for p in problems)
+    assert "element 3: category 'Figure' is not a Category" in problems
 
 
 def test_validate_reports_reserved_token_text():

@@ -39,11 +39,13 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_cli_import_leaves_out_numpy_and_scipy():
     """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them,
-    and without ``concurrent.futures``: the CLI runs its work on one thread."""
+    and without ``concurrent.futures``: the CLI runs its work on one thread. Nor does
+    it load ``fractions`` (or ``decimal``, which it imports): only boxes that floats
+    cannot measure need exact arithmetic, and ``exact_boxes`` imports it then."""
     src = str(Path(docrec.__file__).resolve().parent.parent)
     code = (
         "import sys, docrec.cli; "
-        "print(sorted({'numpy', 'scipy', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

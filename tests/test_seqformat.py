@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -212,6 +213,27 @@ def test_parse_missing_td_close_is_malformed_table():
     # The </tr> now sits where </td> was expected.
     assert err.value.offset == drop
     assert isinstance(tokens[drop], HtmlTagTok) and tokens[drop].name == "/tr"
+
+
+@pytest.mark.parametrize(
+    "close, message", [("/td", "table cell never closed"), ("/tr", "table row never closed")]
+)
+def test_parse_table_ending_inside_a_row(close, message):
+    tokens = serialize(_table_doc()).tokens
+    # Cut the sequence just before the cell's or the row's closing tag.
+    cut = next(i for i, t in enumerate(tokens) if isinstance(t, HtmlTagTok) and t.name == close)
+    with pytest.raises(ParseError) as err:
+        parse(TokenSequence(tokens[:cut]), 1000, 1000)
+    assert err.value.kind is ParseErrorKind.UNTERMINATED_ELEMENT
+    assert err.value.offset == cut
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("width, height", [(math.nan, 100), (100, math.inf), (-math.inf, 100), (0, 100)])
+def test_parse_rejects_a_page_size_that_is_not_positive_and_finite(width, height):
+    # No coordinate token: only the page-size check can see the bad size.
+    with pytest.raises(ValueError, match="page dimensions must be positive and finite"):
+        parse(TokenSequence(()), width, height)
 
 
 def test_parse_stray_table_tag_in_paragraph():
