@@ -13,8 +13,14 @@ where CONTENT depends on the category:
   Formula    the LaTeX source characters;
   Figure     nothing.
 
-Coordinates are quantized onto a ``bins``-wide grid normalized by the page
-dimensions. Text is tokenized one codepoint per token at this layer.
+A token is a plain value:
+  an ``int``         a coordinate bin on a ``bins``-wide grid normalized by
+                     the page dimensions; its axis is its place in the quartet;
+  a 1-character str  one text character (text is one codepoint per token);
+  any other str      a tag, held as its canonical text: "<Paragraph>",
+                     "<Table>", "<Formula>", "<Figure>", "<Sep>", "<\\n>" (the
+                     line separator), "<tr>", "</tr>", "</td>", and "<td>" with
+                     optional spans, as in '<td rowspan="2" colspan="3">'.
 """
 
 from __future__ import annotations
@@ -46,40 +52,18 @@ from .model import (
 #: Quartet order for every bounding box; a coordinate's axis is its place in it.
 AXES = ("Xmin", "Ymin", "Xmax", "Ymax")
 
+Token = int | str
 
-@dataclass(frozen=True)
-class CategoryTok:
-    category: Category
+#: Category tag text -> category.
+_CATEGORIES = {f"<{cat.value}>": cat for cat in Category}
+#: Every tag but <td>, which may carry spans (see _TD_TAG_RE).
+_FIXED_TAGS = frozenset((*_CATEGORIES, "<Sep>", "<\\n>", "<tr>", "</tr>", "</td>"))
 
-
-@dataclass(frozen=True)
-class CoordTok:
-    bin: int
-
-
-@dataclass(frozen=True)
-class TextTok:
-    text: str
-
-
-@dataclass(frozen=True)
-class LineSepTok:
-    """Separator between consecutive paragraph lines."""
-
-
-@dataclass(frozen=True)
-class SepTok:
-    """Terminator of one element's token run."""
-
-
-@dataclass(frozen=True)
-class HtmlTagTok:
-    name: str  # one of "tr", "/tr", "td", "/td"
-    rowspan: int | None = None
-    colspan: int | None = None
-
-
-Token = CategoryTok | CoordTok | TextTok | LineSepTok | SepTok | HtmlTagTok
+# Canonical decimal: ASCII digits, no leading zero, so each number has one text.
+_UINT = r"(?:0|[1-9][0-9]*)"
+_DIGITS_RE = re.compile(_UINT)
+#: A <td> tag; its groups are the rowspan and colspan, or None where absent.
+_TD_TAG_RE = re.compile(rf'<td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?>')
 
 
 @dataclass(frozen=True)
@@ -92,9 +76,6 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
 class ParseErrorKind(Enum):
@@ -136,47 +117,48 @@ def serialize(doc: Document, bins: int = DEFAULT_BINS) -> TokenSequence:
     tokens: list[Token] = []
 
     def emit_quartet(bbox: BoundingBox) -> None:
-        tokens.append(CoordTok(quantize_coord(bbox.x_min, w, bins)))
-        tokens.append(CoordTok(quantize_coord(bbox.y_min, h, bins)))
-        tokens.append(CoordTok(quantize_coord(bbox.x_max, w, bins)))
-        tokens.append(CoordTok(quantize_coord(bbox.y_max, h, bins)))
-
-    def emit_text(text: str) -> None:
-        tokens.extend(TextTok(ch) for ch in text)
+        tokens.append(quantize_coord(bbox.x_min, w, bins))
+        tokens.append(quantize_coord(bbox.y_min, h, bins))
+        tokens.append(quantize_coord(bbox.x_max, w, bins))
+        tokens.append(quantize_coord(bbox.y_max, h, bins))
 
     for el in doc.elements:
-        tokens.append(CategoryTok(el.category))
+        tokens.append(f"<{el.category.value}>")
         emit_quartet(el.bbox)
         content = el.content
         if isinstance(content, ParagraphContent):
             for j, line in enumerate(content.lines):
                 if j:
-                    tokens.append(LineSepTok())
+                    tokens.append("<\\n>")
                 emit_quartet(line.bbox)
-                emit_text(line.text)
+                tokens.extend(line.text)
         elif isinstance(content, TableContent):
             for row in content.rows:
-                tokens.append(HtmlTagTok("tr"))
+                tokens.append("<tr>")
                 for cell in row:
-                    tokens.append(
-                        HtmlTagTok(
-                            "td",
-                            rowspan=cell.rowspan if cell.rowspan > 1 else None,
-                            colspan=cell.colspan if cell.colspan > 1 else None,
-                        )
-                    )
+                    tag = "<td"
+                    if cell.rowspan > 1:
+                        tag += f' rowspan="{cell.rowspan}"'
+                    if cell.colspan > 1:
+                        tag += f' colspan="{cell.colspan}"'
+                    tokens.append(tag + ">")
                     emit_quartet(cell.bbox)
-                    emit_text(cell.text)
-                    tokens.append(HtmlTagTok("/td"))
-                tokens.append(HtmlTagTok("/tr"))
+                    tokens.extend(cell.text)
+                    tokens.append("</td>")
+                tokens.append("</tr>")
         elif isinstance(content, FormulaContent):
-            emit_text(content.latex)
-        tokens.append(SepTok())
+            tokens.extend(content.latex)
+        tokens.append("<Sep>")
     return TokenSequence(tuple(tokens), bins)
 
 
 class _Cursor:
-    """Token-stream reader shared by the content parsers."""
+    """Token-stream reader shared by the content parsers.
+
+    Each token's exact type is checked before it is compared with a tag, so
+    no token's own ``__eq__`` or ``__hash__`` runs; the end of the sequence
+    is told by position alone.
+    """
 
     def __init__(self, seq: TokenSequence, page_width: float, page_height: float):
         self.tokens = seq.tokens
@@ -185,107 +167,113 @@ class _Cursor:
         self.h = page_height
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def at_end(self) -> bool:
+        return self.pos == len(self.tokens)
 
-    def fail(self, kind: ParseErrorKind, message: str, offset: int | None = None):
-        raise ParseError(kind, self.pos if offset is None else offset, message)
+    def tag(self) -> str | None:
+        """The str token at the cursor; None at the end or at any other value."""
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            if type(tok) is str:
+                return tok
+        return None
+
+    def got(self) -> str:
+        """The token at the cursor, as an error message shows it."""
+        if self.at_end():
+            return "end of sequence"
+        tok = self.tokens[self.pos]
+        try:
+            return repr(tok)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            return f"a {tok.bit_length()}-bit int"
+
+    def fail(self, kind: ParseErrorKind, message: str):
+        raise ParseError(kind, self.pos, message)
 
     def read_quartet(self) -> BoundingBox:
         """Four coordinate tokens, read as Xmin, Ymin, Xmax, Ymax in that order."""
+        tokens, bins = self.tokens, self.bins
         values = []
         for axis in AXES:
-            tok = self.peek()
-            if tok is None or not isinstance(tok, CoordTok):
+            if self.at_end() or type(tokens[self.pos]) is not int:
                 self.fail(
                     ParseErrorKind.TRUNCATED_COORD_QUARTET,
-                    f"expected {axis} coordinate, got {_describe(tok)}",
+                    f"expected {axis} coordinate, got {self.got()}",
                 )
-            if not 0 <= tok.bin < self.bins:
+            if not 0 <= tokens[self.pos] < bins:
                 self.fail(
                     ParseErrorKind.COORD_OUT_OF_RANGE,
-                    f"bin {tok.bin} outside [0, {self.bins})",
+                    f"bin {self.got()} outside [0, {bins})",
                 )
-            values.append(tok.bin)
+            values.append(tokens[self.pos])
             self.pos += 1
         return BoundingBox(
-            dequantize_coord(values[0], self.w, self.bins),
-            dequantize_coord(values[1], self.h, self.bins),
-            dequantize_coord(values[2], self.w, self.bins),
-            dequantize_coord(values[3], self.h, self.bins),
+            dequantize_coord(values[0], self.w, bins),
+            dequantize_coord(values[1], self.h, bins),
+            dequantize_coord(values[2], self.w, bins),
+            dequantize_coord(values[3], self.h, bins),
         )
 
     def read_text_run(self) -> str:
-        chars = []
-        while isinstance(self.peek(), TextTok):
-            chars.append(self.tokens[self.pos].text)
-            self.pos += 1
-        return "".join(chars)
-
-
-def _describe(tok: Token | None) -> str:
-    if tok is None:
-        return "end of sequence"
-    return type(tok).__name__
+        tokens = self.tokens
+        start = end = self.pos
+        while end < len(tokens) and type(tokens[end]) is str and len(tokens[end]) == 1:
+            end += 1
+        self.pos = end
+        return "".join(tokens[start:end])
 
 
 def _parse_paragraph(cur: _Cursor) -> ParagraphContent:
-    lines: list[TextLine] = []
-    if cur.peek() is None or isinstance(cur.peek(), SepTok):
+    if cur.at_end() or cur.tag() == "<Sep>":
         return ParagraphContent(())
-    while True:
-        bbox = cur.read_quartet()
-        text = cur.read_text_run()
-        lines.append(TextLine(bbox=bbox, text=text))
-        if isinstance(cur.peek(), LineSepTok):
-            cur.pos += 1
-            continue
-        return ParagraphContent(tuple(lines))
+    lines = [TextLine(bbox=cur.read_quartet(), text=cur.read_text_run())]
+    while cur.tag() == "<\\n>":
+        cur.pos += 1
+        lines.append(TextLine(bbox=cur.read_quartet(), text=cur.read_text_run()))
+    return ParagraphContent(tuple(lines))
 
 
 def _parse_table(cur: _Cursor) -> TableContent:
     rows: list[tuple[TableCell, ...]] = []
-    while True:
-        tok = cur.peek()
-        if tok is None or isinstance(tok, SepTok):
-            return TableContent(tuple(rows))
-        if not (isinstance(tok, HtmlTagTok) and tok.name == "tr"):
+    while not cur.at_end() and cur.tag() != "<Sep>":
+        if cur.tag() != "<tr>":
             cur.fail(
                 ParseErrorKind.MALFORMED_TABLE_TAGS,
-                f"expected <tr> or <Sep>, got {_describe(tok)}",
+                f"expected <tr> or <Sep>, got {cur.got()}",
             )
         cur.pos += 1
         cells: list[TableCell] = []
         while True:
-            tok = cur.peek()
-            if tok is None:
+            if cur.at_end():
                 cur.fail(
                     ParseErrorKind.UNTERMINATED_ELEMENT, "table row never closed"
                 )
-            if isinstance(tok, HtmlTagTok) and tok.name == "/tr":
+            tag = cur.tag()
+            if tag == "</tr>":
                 cur.pos += 1
                 break
-            if not (isinstance(tok, HtmlTagTok) and tok.name == "td"):
+            td = _TD_TAG_RE.fullmatch(tag) if tag is not None else None
+            if td is None:
                 cur.fail(
                     ParseErrorKind.MALFORMED_TABLE_TAGS,
-                    f"expected <td> or </tr>, got {_describe(tok)}",
+                    f"expected <td> or </tr>, got {cur.got()}",
                 )
-            rowspan = tok.rowspan if tok.rowspan is not None else 1
-            colspan = tok.colspan if tok.colspan is not None else 1
+            rowspan, colspan = (int(span) if span else 1 for span in td.groups())
             cur.pos += 1
             bbox = cur.read_quartet()
             text = cur.read_text_run()
-            tok = cur.peek()
-            if tok is None:
+            if cur.at_end():
                 cur.fail(ParseErrorKind.UNTERMINATED_ELEMENT, "table cell never closed")
-            if not (isinstance(tok, HtmlTagTok) and tok.name == "/td"):
+            if cur.tag() != "</td>":
                 cur.fail(
                     ParseErrorKind.MALFORMED_TABLE_TAGS,
-                    f"expected </td>, got {_describe(tok)}",
+                    f"expected </td>, got {cur.got()}",
                 )
             cur.pos += 1
             cells.append(TableCell(bbox=bbox, rowspan=rowspan, colspan=colspan, text=text))
         rows.append(tuple(cells))
+    return TableContent(tuple(rows))
 
 
 def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document:
@@ -294,22 +282,25 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
     Coordinates come back as bin centers. Every malformed input raises one
     ParseError carrying the offset of the first violation; grammatically
     valid sequences whose dequantized geometry breaks model invariants still
-    parse (validate_document reports those).
+    parse (validate_document reports those). A grid size that is not an int
+    >= 2, or a page size that is not positive and finite, raises ValueError
+    before any token is read.
     """
     if not (0 < page_width < math.inf and 0 < page_height < math.inf):
         raise ValueError(
             f"page dimensions must be positive and finite, got {page_width}x{page_height}"
         )
+    if type(seq.bins) is not int or seq.bins < 2:
+        raise ValueError(f"bins must be an int >= 2, got {seq.bins!r}")
     cur = _Cursor(seq, page_width, page_height)
     elements: list[Element] = []
-    while cur.pos < len(cur.tokens):
-        tok = cur.peek()
-        if not isinstance(tok, CategoryTok):
+    while not cur.at_end():
+        category = _CATEGORIES.get(cur.tag())
+        if category is None:
             cur.fail(
                 ParseErrorKind.MISSING_CATEGORY,
-                f"expected a category token, got {_describe(tok)}",
+                f"expected a category token, got {cur.got()}",
             )
-        category = tok.category
         cur.pos += 1
         bbox = cur.read_quartet()
         if category is Category.PARAGRAPH:
@@ -320,13 +311,12 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
             content = FormulaContent(cur.read_text_run())
         else:
             content = FigureContent()
-        tok = cur.peek()
-        if tok is None:
+        if cur.at_end():
             cur.fail(ParseErrorKind.UNTERMINATED_ELEMENT, "element missing <Sep>")
-        if not isinstance(tok, SepTok):
+        if cur.tag() != "<Sep>":
             cur.fail(
                 ParseErrorKind.UNEXPECTED_TOKEN,
-                f"expected <Sep>, got {_describe(tok)}",
+                f"expected <Sep>, got {cur.got()}",
             )
         cur.pos += 1
         elements.append(Element(category=category, bbox=bbox, content=content))
@@ -337,30 +327,16 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
 
 # --- text rendering --------------------------------------------------------
 #
-# Tags render as <...>; text renders raw with three escapes: "\\" for a
-# backslash, "\<" for a literal "<", and "\n" (two characters) for a
-# newline. A real newline appears only after a <Sep> that is not the last
-# token, grouping one element per line.
-
-#: Tag body -> token, for every tag without a number in it.
-_TAGS: dict[str, Token] = {
-    **{cat.value: CategoryTok(cat) for cat in Category},
-    "Sep": SepTok(),
-    "\\n": LineSepTok(),
-    **{name: HtmlTagTok(name) for name in ("tr", "/tr", "td", "/td")},
-}
-_TAG_TEXT = {tok: f"<{body}>" for body, tok in _TAGS.items()}
-_TAG_TEXT[SepTok()] += "\n"  # render_tokens drops it after a final <Sep>
+# Tags render as themselves and bins as <bin>; text renders raw with three
+# escapes: "\\" for a backslash, "\<" for a literal "<", and "\n" (two
+# characters) for a newline. A real newline appears only after a <Sep> that
+# is not the last token, grouping one element per line.
 
 #: Text character -> its escape.
 _ESCAPES = {"\\": "\\\\", "<": "\\<", "\n": "\\n"}
-_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _UNESCAPES = {escape: ch for ch, escape in _ESCAPES.items()}
-
-# Canonical decimal: ASCII digits, no leading zero, so each number has one text.
-_UINT = r"(?:0|[1-9][0-9]*)"
-_TD_TAG_RE = re.compile(rf'td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?')
-_DIGITS_RE = re.compile(_UINT)
+#: str token -> its text, where that is not the token itself.
+_RENDERED = {**_ESCAPES, "<Sep>": "<Sep>\n"}  # render_tokens drops a final "\n"
 #: One lexeme of token text; a "<" that no ">" closes matches no group.
 _LEXEME_RE = re.compile(
     r"<(?P<tag>[^>]*)>|(?P<escape>\\.?)|(?P<newline>\n)|(?P<text>[^<\\\n]+)|<",
@@ -368,40 +344,22 @@ _LEXEME_RE = re.compile(
 )
 
 
-def _html_tag_text(tok: HtmlTagTok) -> str:
-    attrs = ""
-    if tok.name == "td":
-        if tok.rowspan is not None:
-            attrs += f' rowspan="{tok.rowspan}"'
-        if tok.colspan is not None:
-            attrs += f' colspan="{tok.colspan}"'
-    return f"<{tok.name}{attrs}>"
-
-
 def render_tokens(seq: TokenSequence) -> str:
     """Angle-bracket text form of a token sequence, one element per line."""
-    parts: list[str] = []
-    for tok in seq.tokens:
-        if isinstance(tok, TextTok):
-            parts.append(tok.text.translate(_ESCAPE_TABLE))
-        elif isinstance(tok, CoordTok):
-            parts.append(f"<{tok.bin}>")
-        else:
-            tag = _TAG_TEXT.get(tok)
-            parts.append(tag if tag is not None else _html_tag_text(tok))
-    text = "".join(parts)
-    if seq.tokens and isinstance(seq.tokens[-1], SepTok):
-        return text[:-1]
-    return text
+    text = "".join(
+        f"<{tok}>" if type(tok) is int else _RENDERED.get(tok, tok) for tok in seq.tokens
+    )
+    # Only a <Sep> renders a raw newline: escaped text and tags hold none.
+    return text[:-1] if text.endswith("\n") else text
 
 
 def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
     """Inverse of render_tokens: every text that scans renders back to itself.
 
-    A numeric tag becomes a coordinate token holding only its bin; the
-    parser reads its axis from its place in the quartet. A raw newline is
-    taken only where render_tokens writes one, after each <Sep> but a final
-    one. Bin range is not checked here (the parser reports CoordOutOfRange).
+    A numeric tag becomes an int bin; the parser reads its axis from its
+    place in the quartet. A raw newline is taken only where render_tokens
+    writes one, after each <Sep> but a final one. Bin range is not checked
+    here (the parser reports CoordOutOfRange).
     """
     tokens: list[Token] = []
     sep_end = -1  # where the last <Sep> ended
@@ -414,26 +372,23 @@ def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
         if start == sep_end:
             raise ScanError(start, "expected a newline after <Sep>")
         if kind == "text":
-            tokens.extend(map(TextTok, m.group()))
+            tokens.extend(m.group())
         elif kind == "tag":
-            body = m.group("tag")
-            tok = _TAGS.get(body)
-            if tok is None and _DIGITS_RE.fullmatch(body):
-                tok = CoordTok(int(body))
-            elif tok is None:
-                match = _TD_TAG_RE.fullmatch(body)
-                if match is None:
-                    raise ScanError(start, f"unknown tag <{body}>")
-                tok = HtmlTagTok("td", *(int(span) if span else None for span in match.groups()))
-            elif isinstance(tok, SepTok):
+            tag, body = m.group(), m.group("tag")
+            if _DIGITS_RE.fullmatch(body):
+                tokens.append(int(body))
+                continue
+            if tag not in _FIXED_TAGS and not _TD_TAG_RE.fullmatch(tag):
+                raise ScanError(start, f"unknown tag {tag}")
+            if tag == "<Sep>":
                 sep_end = m.end()
-            tokens.append(tok)
+            tokens.append(tag)
         elif kind == "escape":
             escape = m.group()
             if escape not in _UNESCAPES:
                 message = f"unknown escape {escape}" if escape[1:] else "dangling escape"
                 raise ScanError(start, message)
-            tokens.append(TextTok(_UNESCAPES[escape]))
+            tokens.append(_UNESCAPES[escape])
         else:
             raise ScanError(start, "unterminated tag")
     return TokenSequence(tuple(tokens), bins)

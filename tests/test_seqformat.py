@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,15 +20,9 @@ from docrec.model import (
     TextLine,
 )
 from docrec.seqformat import (
-    CategoryTok,
-    CoordTok,
-    HtmlTagTok,
-    LineSepTok,
     ParseError,
     ParseErrorKind,
     ScanError,
-    SepTok,
-    TextTok,
     TokenSequence,
     parse,
     render_tokens,
@@ -47,14 +42,7 @@ def _figure_doc():
 
 def test_serialize_single_figure():
     seq = serialize(_figure_doc(), bins=1000)
-    assert list(seq.tokens) == [
-        CategoryTok(Category.FIGURE),
-        CoordTok(0),
-        CoordTok(0),
-        CoordTok(999),
-        CoordTok(999),
-        SepTok(),
-    ]
+    assert seq.tokens == ("<Figure>", 0, 0, 999, 999, "<Sep>")
 
 
 def test_serialize_empty_document():
@@ -83,12 +71,12 @@ def _two_line_paragraph():
 def test_serialize_paragraph_line_separator():
     seq = serialize(_two_line_paragraph())
     tokens = list(seq.tokens)
-    seps = [i for i, t in enumerate(tokens) if isinstance(t, LineSepTok)]
+    seps = [i for i, t in enumerate(tokens) if t == "<\\n>"]
     assert len(seps) == 1
     # category + quartet + (quartet + 2 chars) + linesep + (quartet + 2 chars) + sep
     assert len(tokens) == 1 + 4 + 6 + 1 + 6 + 1
     assert seps[0] == 1 + 4 + 6
-    assert isinstance(tokens[-1], SepTok)
+    assert tokens[-1] == "<Sep>"
 
 
 def test_serialize_requires_valid_document():
@@ -107,7 +95,7 @@ def test_sep_count_equals_element_count():
     for _ in range(30):
         doc = random_document(rng, 0, 6)
         seq = serialize(doc)
-        assert sum(isinstance(t, SepTok) for t in seq.tokens) == len(doc.elements)
+        assert seq.tokens.count("<Sep>") == len(doc.elements)
 
 
 def _structure(doc):
@@ -158,7 +146,7 @@ def test_round_trip_document():
 
 
 def test_parse_missing_category():
-    seq = TokenSequence((CoordTok(0),))
+    seq = TokenSequence((0,))
     with pytest.raises(ParseError) as err:
         parse(seq, 100, 100)
     assert err.value.kind is ParseErrorKind.MISSING_CATEGORY
@@ -166,9 +154,7 @@ def test_parse_missing_category():
 
 
 def test_parse_truncated_quartet():
-    seq = TokenSequence(
-        (CategoryTok(Category.FIGURE), CoordTok(1), CoordTok(1))
-    )
+    seq = TokenSequence(("<Figure>", 1, 1))
     with pytest.raises(ParseError) as err:
         parse(seq, 100, 100)
     assert err.value.kind is ParseErrorKind.TRUNCATED_COORD_QUARTET
@@ -204,7 +190,7 @@ def test_parse_missing_td_close_is_malformed_table():
     seq = serialize(_table_doc())
     tokens = list(seq.tokens)
     drop = next(
-        i for i, t in enumerate(tokens) if isinstance(t, HtmlTagTok) and t.name == "/td"
+        i for i, t in enumerate(tokens) if t == "</td>"
     )
     del tokens[drop]
     with pytest.raises(ParseError) as err:
@@ -212,7 +198,7 @@ def test_parse_missing_td_close_is_malformed_table():
     assert err.value.kind is ParseErrorKind.MALFORMED_TABLE_TAGS
     # The </tr> now sits where </td> was expected.
     assert err.value.offset == drop
-    assert isinstance(tokens[drop], HtmlTagTok) and tokens[drop].name == "/tr"
+    assert tokens[drop] == "</tr>"
 
 
 @pytest.mark.parametrize(
@@ -221,7 +207,7 @@ def test_parse_missing_td_close_is_malformed_table():
 def test_parse_table_ending_inside_a_row(close, message):
     tokens = serialize(_table_doc()).tokens
     # Cut the sequence just before the cell's or the row's closing tag.
-    cut = next(i for i, t in enumerate(tokens) if isinstance(t, HtmlTagTok) and t.name == close)
+    cut = tokens.index(f"<{close}>")
     with pytest.raises(ParseError) as err:
         parse(TokenSequence(tokens[:cut]), 1000, 1000)
     assert err.value.kind is ParseErrorKind.UNTERMINATED_ELEMENT
@@ -236,24 +222,24 @@ def test_parse_rejects_a_page_size_that_is_not_positive_and_finite(width, height
         parse(TokenSequence(()), width, height)
 
 
+@pytest.mark.parametrize("bins", [1, 0, -2, 2.5, 2.0, True, None])
+def test_parse_rejects_bins_that_are_not_an_int_of_at_least_two(bins):
+    # No coordinate token: only a check made before any token is read can see it.
+    with pytest.raises(ValueError, match="bins must be an int >= 2"):
+        parse(TokenSequence((), bins=bins), 100, 100)
+
+
 def test_parse_stray_table_tag_in_paragraph():
     seq = serialize(_two_line_paragraph())
     tokens = list(seq.tokens)
-    tokens.insert(len(tokens) - 1, HtmlTagTok("tr"))
+    tokens.insert(len(tokens) - 1, "<tr>")
     with pytest.raises(ParseError) as err:
         parse(TokenSequence(tokens), 1000, 1000)
     assert err.value.kind is ParseErrorKind.UNEXPECTED_TOKEN
 
 
 def test_parse_coord_out_of_range():
-    tokens = (
-        CategoryTok(Category.FIGURE),
-        CoordTok(0),
-        CoordTok(1000),
-        CoordTok(10),
-        CoordTok(10),
-        SepTok(),
-    )
+    tokens = ("<Figure>", 0, 1000, 10, 10, "<Sep>")
     with pytest.raises(ParseError) as err:
         parse(TokenSequence(tokens, bins=1000), 100, 100)
     assert err.value.kind is ParseErrorKind.COORD_OUT_OF_RANGE
@@ -262,45 +248,68 @@ def test_parse_coord_out_of_range():
 
 def test_parse_text_inside_figure_is_unexpected():
     tokens = list(serialize(_figure_doc()).tokens)
-    tokens.insert(5, TextTok("!"))
+    tokens.insert(5, "!")
     with pytest.raises(ParseError) as err:
         parse(TokenSequence(tokens), 1000, 1000)
     assert err.value.kind is ParseErrorKind.UNEXPECTED_TOKEN
     assert err.value.offset == 5
 
 
+@pytest.mark.parametrize(
+    "tokens, kind, offset, got",
+    [
+        (("<Figure>", 0, 0, 1, 1, None, "<Sep>"), ParseErrorKind.UNEXPECTED_TOKEN, 5, "None"),
+        (("<Paragraph>", 0, 0, 1, 1, 0, 0, 1, 1, "a", None, "<Sep>"),
+         ParseErrorKind.UNEXPECTED_TOKEN, 10, "None"),
+        (("<Table>", 0, 0, 1, 1, "<tr>", None, "</tr>", "<Sep>"),
+         ParseErrorKind.MALFORMED_TABLE_TAGS, 6, "None"),
+        (("<Figure>", 0, "3", 1, 1, "<Sep>"), ParseErrorKind.TRUNCATED_COORD_QUARTET, 2, "'3'"),
+        (("<Figure>", 0, 3.0, 1, 1, "<Sep>"), ParseErrorKind.TRUNCATED_COORD_QUARTET, 2, "3.0"),
+        (("<Figure>", 0, 10**5000, 1, 1, "<Sep>"), ParseErrorKind.COORD_OUT_OF_RANGE, 2,
+         "a 16610-bit int"),
+        (("Figure", 0, 0, 1, 1, "<Sep>"), ParseErrorKind.MISSING_CATEGORY, 0, "'Figure'"),
+    ],
+)
+def test_parse_reports_a_value_that_is_no_token_at_its_own_offset(tokens, kind, offset, got):
+    with pytest.raises(ParseError) as err:
+        parse(TokenSequence(tokens, bins=10), 100, 100)
+    assert (err.value.kind, err.value.offset) == (kind, offset)
+    assert got in str(err.value)
+
+
 def test_parse_allows_invalid_geometry():
     # min > max parses fine; geometry is validate_document's job.
-    tokens = (
-        CategoryTok(Category.FIGURE),
-        CoordTok(50),
-        CoordTok(0),
-        CoordTok(10),
-        CoordTok(10),
-        SepTok(),
-    )
+    tokens = ("<Figure>", 50, 0, 10, 10, "<Sep>")
     doc = parse(TokenSequence(tokens, bins=100), 100, 100)
     assert doc.elements[0].bbox.x_min > doc.elements[0].bbox.x_max
 
 
+#: Values that are no token: not an exact int or str, or a str that is
+#: neither one character nor a tag.
+_NON_TOKENS = (
+    None, 1.5, True, b"<Sep>", "", "ab", "<th>", np.int64(3), np.array(["</td>", "<Sep>"]),
+    10**5000,  # an int too long for str()
+)
+
 _FUZZ_POOL = (
-    CategoryTok(Category.PARAGRAPH),
-    CategoryTok(Category.TABLE),
-    CategoryTok(Category.FORMULA),
-    CategoryTok(Category.FIGURE),
-    CoordTok(3),
-    CoordTok(7),
-    CoordTok(90),
-    CoordTok(2000),
-    TextTok("a"),
-    TextTok("<"),
-    LineSepTok(),
-    SepTok(),
-    HtmlTagTok("tr"),
-    HtmlTagTok("/tr"),
-    HtmlTagTok("td"),
-    HtmlTagTok("td", rowspan=2),
-    HtmlTagTok("/td"),
+    "<Paragraph>",
+    "<Table>",
+    "<Formula>",
+    "<Figure>",
+    3,
+    7,
+    90,
+    2000,
+    "a",
+    "<",
+    "<\\n>",
+    "<Sep>",
+    "<tr>",
+    "</tr>",
+    "<td>",
+    '<td rowspan="2">',
+    "</td>",
+    *_NON_TOKENS,
 )
 
 
@@ -358,14 +367,41 @@ def test_scan_render_round_trip():
 
 
 def test_render_escapes():
-    seq = TokenSequence((TextTok("<"), TextTok("\\"), TextTok("\n"), TextTok(">")))
+    seq = TokenSequence(("<", "\\", "\n", ">"))
     assert render_tokens(seq) == "\\<\\\\\\n>"
     assert scan_tokens(render_tokens(seq)) == seq
 
 
+def test_render_pins_the_text_of_every_token_kind():
+    cell = TableCell(BoundingBox(0, 20, 50, 60), 2, 3, "x")
+    doc = Document(100.0, 100.0, (
+        Element(Category.PARAGRAPH, BoundingBox(0, 0, 50, 20), ParagraphContent((
+            TextLine(BoundingBox(0, 0, 50, 10), "a<b"),
+            TextLine(BoundingBox(0, 10, 50, 20), "c\\d\ne"),
+        ))),
+        Element(Category.TABLE, BoundingBox(0, 20, 100, 60), TableContent((
+            (cell, TableCell(BoundingBox(50, 20, 100, 60), 1, 1, "")),
+        ))),
+        Element(Category.FORMULA, BoundingBox(0, 60, 100, 80), FormulaContent("x<y")),
+        Element(Category.FIGURE, BoundingBox(0, 80, 100, 100), FigureContent()),
+    ))
+    seq = serialize(doc, bins=10)
+    text = render_tokens(seq)
+    assert text == (
+        '<Paragraph><0><0><5><2><0><0><5><1>a\\<b<\\n><0><1><5><2>c\\\\d\\ne<Sep>\n'
+        '<Table><0><2><9><6><tr><td rowspan="2" colspan="3"><0><2><5><6>x</td>'
+        '<td><5><2><9><6></td></tr><Sep>\n'
+        '<Formula><0><6><9><8>x\\<y<Sep>\n'
+        '<Figure><0><8><9><9><Sep>'
+    )
+    assert len(seq) == 59
+    assert {type(tok) for tok in seq.tokens} == {int, str}
+    assert parse(scan_tokens(text, bins=10), 100, 100) == parse(seq, 100, 100)
+
+
 def test_scan_td_attributes():
     seq = scan_tokens('<td rowspan="2" colspan="3">')
-    assert seq.tokens == (HtmlTagTok("td", rowspan=2, colspan=3),)
+    assert seq.tokens == ('<td rowspan="2" colspan="3">',)
     assert render_tokens(seq) == '<td rowspan="2" colspan="3">'
 
 
@@ -427,19 +463,28 @@ def test_scanned_text_renders_back_to_itself(text):
     assert render_tokens(seq) == text
 
 
+def _td_tag(rowspan, colspan):
+    spans = "".join(
+        f' {name}="{span}"' for name, span in (("rowspan", rowspan), ("colspan", colspan))
+        if span is not None
+    )
+    return f"<td{spans}>"
+
+
+_CATEGORY_TAG = st.sampled_from(Category).map(lambda cat: f"<{cat.value}>")
 #: Canonical tokens: a bin >= 0, one character per text token, spans absent or >= 0.
 _CANONICAL_TOKEN = st.one_of(
-    st.builds(CategoryTok, st.sampled_from(Category)),
-    st.builds(CoordTok, st.integers(min_value=0)),
-    st.builds(TextTok, st.characters()),
-    st.just(SepTok()),
-    st.just(LineSepTok()),
-    st.sampled_from([HtmlTagTok("tr"), HtmlTagTok("/tr"), HtmlTagTok("/td")]),
-    st.builds(HtmlTagTok, st.just("td"), *[st.none() | st.integers(min_value=0)] * 2),
+    _CATEGORY_TAG,
+    st.integers(min_value=0),
+    st.characters(),
+    st.just("<Sep>"),
+    st.just("<\\n>"),
+    st.sampled_from(["<tr>", "</tr>", "</td>"]),
+    st.builds(_td_tag, *[st.none() | st.integers(min_value=0)] * 2),
 )
 
 
-@example(TokenSequence((SepTok(), TextTok("\n"), CoordTok(0), TextTok("<"), SepTok()), bins=2))
+@example(TokenSequence(("<Sep>", "\n", 0, "<", "<Sep>"), bins=2))
 @settings(max_examples=500)
 @given(st.builds(TokenSequence, st.lists(_CANONICAL_TOKEN), st.integers(2, 2000)))
 def test_rendered_tokens_scan_back_to_themselves(seq):
@@ -449,22 +494,24 @@ def test_rendered_tokens_scan_back_to_themselves(seq):
 _BIN = st.integers(-3, 2003)
 _SPAN = st.one_of(st.none(), st.integers(-2, 4))
 _TOKEN = st.one_of(
-    st.builds(CategoryTok, st.sampled_from(Category)),
-    st.builds(CoordTok, _BIN),
-    st.builds(TextTok, st.text(max_size=2)),
-    st.just(SepTok()),
-    st.just(LineSepTok()),
-    st.builds(HtmlTagTok, st.sampled_from(["tr", "/tr", "td", "/td", "th"]), _SPAN, _SPAN),
+    _CATEGORY_TAG,
+    _BIN,
+    st.text(max_size=2),
+    st.just("<Sep>"),
+    st.just("<\\n>"),
+    st.sampled_from(["<tr>", "</tr>", "</td>"]),
+    st.builds(_td_tag, _SPAN, _SPAN),
+    st.sampled_from(_NON_TOKENS),
 )
 # A whole coordinate quartet, so that parses get past the first box.
-_QUARTET = st.lists(st.builds(CoordTok, _BIN), min_size=4, max_size=4)
+_QUARTET = st.lists(_BIN, min_size=4, max_size=4)
 _PAGE_SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @example(
-    [CategoryTok(Category.TABLE), *[CoordTok(0)] * 4,
-     HtmlTagTok("tr"), HtmlTagTok("td", rowspan=-1, colspan=0), *[CoordTok(1)] * 4,
-     HtmlTagTok("/td"), HtmlTagTok("/tr"), SepTok()],
+    ["<Table>", *[0] * 4,
+     "<tr>", '<td rowspan="-1" colspan="0">', *[1] * 4,
+     "</td>", "</tr>", "<Sep>"],
     2,
     1.0,
     1.0,
