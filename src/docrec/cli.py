@@ -7,6 +7,8 @@ non-finite numbers), 2 usage errors (flag values are checked before any
 input is read). Per-document work runs on one thread, in input order.
 ``--jobs`` is accepted and checked, and has no effect: output is identical
 for every N. The flag stays so that existing command lines keep working.
+Each subcommand imports the library modules it runs, when it runs, so a call
+loads only what it needs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from . import convert, gtgen, metrics, readorder
 from .model import (
     DEFAULT_BINS,
     Document,
@@ -162,6 +163,8 @@ def _align_by_key(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics
+
     gt_docs, gt_ids = _load_corpus(args.gt, args.key)
     pred_docs, pred_ids = _load_corpus(args.pred, args.key)
     if args.key is not None:
@@ -178,22 +181,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # --- per-document commands: one output line per input line -------------------
 
-#: ``convert --target`` name -> per-document payload. The lambdas look the
-#: converters up in ``convert`` at call time, so a patched module is honoured.
-_TARGETS: dict[str, Callable[[Document], Any]] = {
-    "markdown": lambda doc: convert.to_markdown(doc),
-    "layout": lambda doc: to_json_value(convert.to_layout_records(doc)),
-    "text": lambda doc: convert.to_plain_text(doc),
-    "tables": lambda doc: convert.extract_tables(doc),
-    "formulas": lambda doc: convert.extract_formulas(doc),
-}
+_TARGETS = ("markdown", "layout", "text", "tables", "formulas")
 
 
 def _convert(args: argparse.Namespace, where: str, obj: Any) -> Any:
-    return _TARGETS[args.target](document_from_dict(obj, where=where))
+    from . import convert
+
+    converter = {
+        "markdown": convert.to_markdown,
+        "layout": convert.to_layout_records,
+        "text": convert.to_plain_text,
+        "tables": convert.extract_tables,
+        "formulas": convert.extract_formulas,
+    }[args.target]
+    return to_json_value(converter(document_from_dict(obj, where=where)))
 
 
 def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
+    from . import readorder
+
     doc = document_from_dict(obj, where=where)
     order = readorder.xy_cut_order([el.bbox for el in doc.elements], args.order_cfg)
     reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
@@ -202,6 +208,8 @@ def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
 
 
 def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
+    from . import gtgen
+
     page = document_from_dict(obj, where=where)
     lines = text_lines_from_value(obj.get("lines", []), f"{where}.lines")
     result = gtgen.assemble_ground_truth(
@@ -307,9 +315,13 @@ def _build_options(args: argparse.Namespace) -> None:
         if not 0 < value < math.inf:
             raise ValueError(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
     if "min_gap" in args:
-        args.order_cfg = readorder.OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
+        from .readorder import OrderConfig
+
+        args.order_cfg = OrderConfig(min_gap=args.min_gap, y_tolerance=args.y_tolerance)
     if "iou_threshold" in args:
-        args.assoc_cfg = gtgen.AssocConfig(iou_threshold=args.iou_threshold)
+        from .gtgen import AssocConfig
+
+        args.assoc_cfg = AssocConfig(iou_threshold=args.iou_threshold)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -19,6 +19,7 @@ from .model import (
     ParagraphContent,
     TableContent,
 )
+from .seqformat import td_tag
 
 
 def paragraph_text(content: ParagraphContent) -> str:
@@ -35,12 +36,7 @@ def table_html(content: TableContent) -> str:
     for row in content.rows:
         parts.append("<tr>")
         for cell in row:
-            attrs = ""
-            if cell.rowspan > 1:
-                attrs += f' rowspan="{cell.rowspan}"'
-            if cell.colspan > 1:
-                attrs += f' colspan="{cell.colspan}"'
-            parts.append(f"<td{attrs}>{cell.text}</td>")
+            parts.append(f"{td_tag(cell.rowspan, cell.colspan)}{cell.text}</td>")
         parts.append("</tr>")
     return "".join(parts)
 

@@ -255,11 +255,6 @@ def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
     return 1.0 - _normalized_edit_distance(gt_markdown, pred_markdown)
 
 
-def corpus_ned(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> float:
-    """Mean markdown-level similarity over index-aligned corpora (higher is better)."""
-    return evaluate(gt_corpus, pred_corpus, compute_dsm=False).ned
-
-
 def evaluate(
     gt_corpus: Sequence[Document],
     pred_corpus: Sequence[Document],

@@ -159,9 +159,10 @@ class DocumentValidationError(ValueError):
         self.violations = list(violations)
 
 
-def _check_grid(extent: float, bins: int) -> None:
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+def check_grid(extent: float, bins: int) -> None:
+    """Raise ValueError unless ``bins`` is an exact int >= 2 and ``extent`` positive and finite."""
+    if type(bins) is not int or bins < 2:
+        raise ValueError(f"bins must be an int >= 2, got {bins!r}")
     if not 0 < extent < math.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")
 
@@ -171,7 +172,7 @@ def quantize_coord(v: float, extent: float, bins: int = DEFAULT_BINS) -> int:
 
     The top edge (v == extent) clamps into the last bin.
     """
-    _check_grid(extent, bins)
+    check_grid(extent, bins)
     if math.isnan(v) or v < 0 or v > extent:
         raise ValueError(f"coordinate {v} outside [0, {extent}]")
     return min(math.floor(v / extent * bins), bins - 1)
@@ -179,7 +180,7 @@ def quantize_coord(v: float, extent: float, bins: int = DEFAULT_BINS) -> int:
 
 def dequantize_coord(bin_index: int, extent: float, bins: int = DEFAULT_BINS) -> float:
     """Map a bin index back to its bin-center coordinate."""
-    _check_grid(extent, bins)
+    check_grid(extent, bins)
     if not 0 <= bin_index < bins:
         raise ValueError(f"bin {bin_index} outside [0, {bins})")
     return (bin_index + 0.5) / bins * extent

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +44,7 @@ from .model import (
     TableCell,
     TableContent,
     TextLine,
+    check_grid,
     dequantize_coord,
     quantize_coord,
     validate_document,
@@ -59,11 +61,24 @@ _CATEGORIES = {f"<{cat.value}>": cat for cat in Category}
 #: Every tag but <td>, which may carry spans (see _TD_TAG_RE).
 _FIXED_TAGS = frozenset((*_CATEGORIES, "<Sep>", "<\\n>", "<tr>", "</tr>", "</td>"))
 
-# Canonical decimal: ASCII digits, no leading zero, so each number has one text.
-_UINT = r"(?:0|[1-9][0-9]*)"
+#: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# Canonical decimal: ASCII digits, no leading zero, so each number has one text,
+# and at most _MAX_DIGITS of them, so that the text converts to an int.
+_UINT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})" if _MAX_DIGITS else r"(?:0|[1-9][0-9]*)"
 _DIGITS_RE = re.compile(_UINT)
 #: A <td> tag; its groups are the rowspan and colspan, or None where absent.
 _TD_TAG_RE = re.compile(rf'<td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?>')
+
+
+def td_tag(rowspan: int, colspan: int) -> str:
+    """The opening tag of a table cell, a span written only where it is above 1."""
+    tag = "<td"
+    if rowspan > 1:
+        tag += f' rowspan="{rowspan}"'
+    if colspan > 1:
+        tag += f' colspan="{colspan}"'
+    return tag + ">"
 
 
 @dataclass(frozen=True)
@@ -108,12 +123,14 @@ def serialize(doc: Document, bins: int = DEFAULT_BINS) -> TokenSequence:
     """Encode a valid document as a token sequence.
 
     Raises DocumentValidationError listing violations when the document
-    breaks any model invariant.
+    breaks any model invariant, and ValueError when ``bins`` is not an int
+    >= 2, which ``parse`` would refuse.
     """
     violations = validate_document(doc)
     if violations:
         raise DocumentValidationError(violations)
     w, h = doc.page_width, doc.page_height
+    check_grid(w, bins)
     tokens: list[Token] = []
 
     def emit_quartet(bbox: BoundingBox) -> None:
@@ -136,12 +153,7 @@ def serialize(doc: Document, bins: int = DEFAULT_BINS) -> TokenSequence:
             for row in content.rows:
                 tokens.append("<tr>")
                 for cell in row:
-                    tag = "<td"
-                    if cell.rowspan > 1:
-                        tag += f' rowspan="{cell.rowspan}"'
-                    if cell.colspan > 1:
-                        tag += f' colspan="{cell.colspan}"'
-                    tokens.append(tag + ">")
+                    tokens.append(td_tag(cell.rowspan, cell.colspan))
                     emit_quartet(cell.bbox)
                     tokens.extend(cell.text)
                     tokens.append("</td>")
@@ -290,8 +302,7 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
         raise ValueError(
             f"page dimensions must be positive and finite, got {page_width}x{page_height}"
         )
-    if type(seq.bins) is not int or seq.bins < 2:
-        raise ValueError(f"bins must be an int >= 2, got {seq.bins!r}")
+    check_grid(page_width, seq.bins)
     cur = _Cursor(seq, page_width, page_height)
     elements: list[Element] = []
     while not cur.at_end():
@@ -345,10 +356,18 @@ _LEXEME_RE = re.compile(
 
 
 def render_tokens(seq: TokenSequence) -> str:
-    """Angle-bracket text form of a token sequence, one element per line."""
-    text = "".join(
-        f"<{tok}>" if type(tok) is int else _RENDERED.get(tok, tok) for tok in seq.tokens
-    )
+    """Angle-bracket text form of a token sequence, one element per line.
+
+    A bin with more digits than ``str`` may write raises ValueError naming its index.
+    """
+    try:
+        text = "".join(
+            f"<{tok}>" if type(tok) is int else _RENDERED.get(tok, tok) for tok in seq.tokens
+        )
+    except ValueError as exc:  # only str(int) raises it here
+        limit = 10**_MAX_DIGITS
+        index = next(i for i, tok in enumerate(seq.tokens) if type(tok) is int and abs(tok) >= limit)
+        raise ValueError(f"token {index}: a bin of more than {_MAX_DIGITS} digits") from exc
     # Only a <Sep> renders a raw newline: escaped text and tags hold none.
     return text[:-1] if text.endswith("\n") else text
 
@@ -359,7 +378,9 @@ def scan_tokens(text: str, bins: int = DEFAULT_BINS) -> TokenSequence:
     A numeric tag becomes an int bin; the parser reads its axis from its
     place in the quartet. A raw newline is taken only where render_tokens
     writes one, after each <Sep> but a final one. Bin range is not checked
-    here (the parser reports CoordOutOfRange).
+    here (the parser reports CoordOutOfRange). A number has at most as many
+    digits as ``int`` converts (``sys.get_int_max_str_digits()``, 4,300 by
+    default): a longer bin or span makes an unknown tag.
     """
     tokens: list[Token] = []
     sep_end = -1  # where the last <Sep> ended

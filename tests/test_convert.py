@@ -1,4 +1,5 @@
 import random
+import re
 
 from docrec.convert import (
     extract_formulas,
@@ -148,6 +149,14 @@ def test_extract_tables():
     html = extract_tables(_doc(_table([["a", "b"], ["c", "d"]], spans={(0, 0): (1, 2)})))[0]
     assert html.count('colspan="2"') == 1
     assert "rowspan" not in html
+
+
+def test_table_markup_opens_cells_with_the_serialized_td_tokens():
+    spans = {(0, 0): (2, 3), (0, 1): (1, 2), (1, 0): (4, 1)}
+    doc = _doc(_table([["a", "b"], ["c", "d"]], spans=spans))
+    opened = re.findall(r"<td[^>]*>", extract_tables(doc)[0])
+    assert opened == ['<td rowspan="2" colspan="3">', '<td colspan="2">', '<td rowspan="4">', "<td>"]
+    assert opened == [tok for tok in serialize(doc).tokens if type(tok) is str and tok.startswith("<td")]
 
 
 def test_extract_formulas():

@@ -15,7 +15,6 @@ from docrec.metrics import (
     edit_distance,
     element_cost,
     evaluate,
-    corpus_ned,
     iou,
     location_cost,
     ned_similarity,
@@ -405,7 +404,6 @@ def test_ned_examples():
 def test_corpus_ned_and_evaluate():
     rng = random.Random(12)
     corpus = random_corpus(rng, 4)
-    assert corpus_ned(corpus, corpus) == 1.0
     report = evaluate(corpus, corpus)
     assert report.dsm == 1.0
     assert report.ned == 1.0

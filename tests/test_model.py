@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,15 @@ def test_quantize_domain_errors():
     for extent in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             quantize_coord(5.0, extent, 10)
+
+
+@pytest.mark.parametrize("bins", [2.5, 1000.0, np.int64(10), True])
+def test_grid_size_must_be_an_exact_int(bins):
+    # A grid that parse would refuse is refused where coordinates are made, too.
+    with pytest.raises(ValueError, match="bins must be an int >= 2"):
+        quantize_coord(50.0, 100.0, bins)
+    with pytest.raises(ValueError, match="bins must be an int >= 2"):
+        dequantize_coord(0, 100.0, bins)
 
 
 def test_dequantize_bin_centers():

@@ -1,8 +1,12 @@
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import docrec
 
@@ -21,11 +25,9 @@ def test_no_module_imports_private_names_of_another():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """Deletions leave no dead imports behind; ``__init__`` imports to re-export."""
+    """Deletions leave no dead imports behind; ``__init__`` re-exports nothing."""
     unused = []
     for path in sorted(Path(docrec.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -37,16 +39,71 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _run_python(code: str, cwd: Path | None = None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this docrec."""
+    src = str(Path(docrec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                         text=True, check=True)
+    return out.stdout
+
+
 def test_cli_import_leaves_out_numpy_and_scipy():
     """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them,
     and without ``concurrent.futures``: the CLI runs its work on one thread. Nor does
     it load ``fractions`` (or ``decimal``, which it imports): only boxes that floats
-    cannot measure need exact arithmetic, and ``exact_boxes`` imports it then."""
-    src = str(Path(docrec.__file__).resolve().parent.parent)
+    cannot measure need exact arithmetic, and ``exact_boxes`` imports it then. The
+    modules that only some subcommands run are loaded by those subcommands."""
     code = (
         "import sys, docrec.cli; "
-        "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'fractions', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'fractions', 'decimal', "
+        "'docrec.metrics', 'docrec.gtgen', 'docrec.readorder', 'docrec.convert'} & set(sys.modules)))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+_PAGE = {"page_width": 100.0, "page_height": 100.0, "elements": [
+    {"category": "Paragraph", "bbox": [0, 0, 50, 20],
+     "content": {"lines": [{"bbox": [5, 5, 45, 15], "text": "hi"}]}}]}
+_RAW = {"page_width": 100.0, "page_height": 100.0,
+        "elements": [{"category": "Paragraph", "bbox": [0, 0, 50, 20]}],
+        "lines": [{"bbox": [5, 5, 45, 15], "text": "hi"}]}
+_CLI_CORE = ["docrec.cli", "docrec.model", "docrec.seqformat"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["validate", "page.jsonl"], []),
+        (["eval", "--gt", "page.jsonl", "--pred", "page.jsonl"], ["docrec.convert", "docrec.metrics"]),
+        (["convert", "page.jsonl", "--target", "markdown"], ["docrec.convert"]),
+        (["order", "page.jsonl"], ["docrec.readorder"]),
+        (["gtgen", "raw.jsonl"], ["docrec.convert", "docrec.gtgen", "docrec.metrics", "docrec.readorder"]),
+    ],
+    ids=["validate", "eval", "convert", "order", "gtgen"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    (tmp_path / "page.jsonl").write_text(json.dumps(_PAGE) + "\n", encoding="utf-8")
+    (tmp_path / "raw.jsonl").write_text(json.dumps(_RAW) + "\n", encoding="utf-8")
+    code = (
+        "import contextlib, io, sys\n"
+        "from docrec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('docrec.')))\n"
+    )
+    assert _run_python(code, cwd=tmp_path).strip() == repr(sorted(_CLI_CORE + extra))
+
+
+def test_importing_docrec_loads_no_module():
+    code = "import sys, docrec; print(sorted(n for n in sys.modules if n.startswith('docrec.')))"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_readme_quick_start_runs():
+    """The README's Python example runs as written, so its imports cannot rot."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    code = blocks[0] + "assert report.dsm < 1.0 and markdown == 'Hello world'\n"
+    _run_python(code)

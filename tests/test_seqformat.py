@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,13 @@ def test_parse_rejects_bins_that_are_not_an_int_of_at_least_two(bins):
         parse(TokenSequence((), bins=bins), 100, 100)
 
 
+@pytest.mark.parametrize("bins", [1000.0, np.int64(10), True, 1])
+@pytest.mark.parametrize("doc", [_figure_doc(), Document(1000.0, 1000.0, ())])
+def test_serialize_refuses_bins_that_parse_refuses(doc, bins):
+    with pytest.raises(ValueError, match="bins must be an int >= 2"):
+        serialize(doc, bins=bins)
+
+
 def test_parse_stray_table_tag_in_paragraph():
     seq = serialize(_two_line_paragraph())
     tokens = list(seq.tokens)
@@ -430,6 +438,48 @@ def test_scan_rejects_non_canonical_tags(text, canonical):
     assert render_tokens(scan_tokens(canonical)) == canonical
 
 
+#: Most digits int() and str() convert between: 4,300 unless the environment sets it.
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
+def test_scan_takes_numbers_of_at_most_the_int_digit_limit(digits):
+    number = "9" * digits
+    for tag, token in ((f"<{number}>", 10**digits - 1), (f'<td colspan="{number}">', None)):
+        text = "ab" + tag
+        if digits <= _LIMIT:
+            assert scan_tokens(text).tokens == ("a", "b", token or tag)
+            continue
+        with pytest.raises(ScanError, match="unknown tag") as err:
+            scan_tokens(text)
+        assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
+def test_parse_takes_spans_of_at_most_the_int_digit_limit(digits):
+    tokens = ("<Table>", 0, 0, 1, 1, "<tr>", f'<td rowspan="{"9" * digits}">', 0, 0, 1, 1,
+              "</td>", "</tr>", "<Sep>")
+    if digits <= _LIMIT:
+        cell = parse(TokenSequence(tokens, bins=10), 10, 10).elements[0].content.rows[0][0]
+        assert cell.rowspan == 10**digits - 1
+        return
+    with pytest.raises(ParseError) as err:
+        parse(TokenSequence(tokens, bins=10), 10, 10)
+    assert err.value.kind is ParseErrorKind.MALFORMED_TABLE_TAGS
+    assert err.value.offset == 6
+
+
+@pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
+def test_render_names_a_bin_past_the_int_digit_limit(digits):
+    for bin_ in (10**digits - 1, -(10**digits - 1)):
+        seq = TokenSequence(("<Figure>", 0, bin_))
+        if digits <= _LIMIT:
+            assert render_tokens(seq).endswith(f"<{bin_}>")
+            continue
+        with pytest.raises(ValueError, match=f"token 2: a bin of more than {_LIMIT} digits"):
+            render_tokens(seq)
+
+
 def test_scan_unterminated_tag_and_bad_escape():
     with pytest.raises(ScanError):
         scan_tokens("<Figure")
@@ -472,15 +522,16 @@ def _td_tag(rowspan, colspan):
 
 
 _CATEGORY_TAG = st.sampled_from(Category).map(lambda cat: f"<{cat.value}>")
-#: Canonical tokens: a bin >= 0, one character per text token, spans absent or >= 0.
+#: Canonical tokens: a bin >= 0, one character per text token, spans absent or >= 0,
+#: no number of more than _LIMIT digits.
 _CANONICAL_TOKEN = st.one_of(
     _CATEGORY_TAG,
-    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=10**_LIMIT - 1),
     st.characters(),
     st.just("<Sep>"),
     st.just("<\\n>"),
     st.sampled_from(["<tr>", "</tr>", "</td>"]),
-    st.builds(_td_tag, *[st.none() | st.integers(min_value=0)] * 2),
+    st.builds(_td_tag, *[st.none() | st.integers(min_value=0, max_value=10**_LIMIT - 1)] * 2),
 )
 
 
@@ -492,7 +543,8 @@ def test_rendered_tokens_scan_back_to_themselves(seq):
 
 
 _BIN = st.integers(-3, 2003)
-_SPAN = st.one_of(st.none(), st.integers(-2, 4))
+#: A span, or the text of one too long to convert to an int.
+_SPAN = st.one_of(st.none(), st.integers(-2, 4), st.just("9" * (_LIMIT + 1)))
 _TOKEN = st.one_of(
     _CATEGORY_TAG,
     _BIN,
@@ -516,6 +568,7 @@ _PAGE_SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     1.0,
     1.0,
 )
+@example(["<Table>", *[0] * 4, "<tr>", _td_tag("9" * (_LIMIT + 1), None)], 2, 1.0, 1.0)
 @settings(max_examples=500)
 @given(
     st.lists(st.one_of(_TOKEN.map(lambda tok: [tok]), _QUARTET), max_size=30).map(
