@@ -4,9 +4,12 @@ Documents travel as newline-delimited JSON: one document object per line,
 UTF-8, lines separated by "\\n" only. Results go to stdout, diagnostics to
 stderr. Exit codes: 0 success, 1 bad input (validation/parse failures,
 non-finite numbers), 2 usage errors (flag values are checked before any
-input is read). Per-document work runs on one thread, in input order.
-``--jobs`` is accepted and checked, and has no effect: output is identical
-for every N. The flag stays so that existing command lines keep working.
+input is read), 3 a fault in docrec (its traceback goes to stderr).
+Per-document work runs on one thread, in input order: each line is decoded,
+run and encoded before the next is decoded, so the first line that cannot be
+decoded or run is the one reported, and nothing is written unless all can.
+``--jobs N`` is checked and has no effect: it stays so that existing command
+lines keep working.
 Each subcommand imports the library modules it runs, when it runs, so a call
 loads only what it needs.
 """
@@ -18,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
     DEFAULT_BINS,
@@ -60,24 +63,24 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_objects(path: str) -> list[tuple[str, Any]]:
-    """Decode a newline-delimited JSON file into ("path:line", value) pairs.
+def _load_objects(path: str) -> Iterator[tuple[str, Any]]:
+    """Yield ("path:line", value) for each line of a newline-delimited JSON file, as it is decoded.
 
-    Lines end at "\\n" only: JSON strings may hold a raw U+2028 or U+0085,
-    which ``str.splitlines`` would take for a line end. A line of JSON
-    whitespace is skipped. The non-standard literals NaN, Infinity and
-    -Infinity are rejected, and so is nesting too deep to decode.
+    The whole file is read and checked as UTF-8 first. Lines end at "\\n"
+    only: JSON strings may hold a raw U+2028 or U+0085, which
+    ``str.splitlines`` would take for a line end. A line of JSON whitespace is
+    skipped. The non-standard literals NaN, Infinity and -Infinity are
+    rejected, and so is nesting too deep to decode.
     """
-    out = []
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip(" \t\r"):
             continue
         where = f"{path}:{lineno}"
         try:
-            out.append((where, json.loads(line, parse_constant=_reject_constant)))
+            obj = json.loads(line, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-    return out
+        yield where, obj
 
 
 def _emit(results: Iterable[tuple[str, Any]], path: str | None = None) -> None:
@@ -101,20 +104,14 @@ def _emit(results: Iterable[tuple[str, Any]], path: str | None = None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problems: list[str] = []
-    count = 0
     if args.format == "tokens":
-        text = _read_text(args.input)
-        doc = parse_tokens(
-            scan_tokens(text, bins=args.bins), args.page_width, args.page_height
-        )
-        count = 1
-        problems.extend(f"{args.input}: {v}" for v in validate_document(doc))
+        tokens = scan_tokens(_read_text(args.input), bins=args.bins)
+        docs = [(args.input, parse_tokens(tokens, args.page_width, args.page_height))]
     else:
-        for where, obj in _load_objects(args.input):
-            doc = document_from_dict(obj, where=where)
-            count += 1
-            problems.extend(f"{where}: {v}" for v in validate_document(doc))
+        docs = ((where, document_from_dict(obj, where=where)) for where, obj in _load_objects(args.input))
+    count, problems = 0, []
+    for count, (where, doc) in enumerate(docs, 1):
+        problems.extend(f"{where}: {v}" for v in validate_document(doc))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -181,19 +178,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # --- per-document commands: one output line per input line -------------------
 
-_TARGETS = ("markdown", "layout", "text", "tables", "formulas")
+#: Each ``convert --target`` and the name of the ``convert`` function that makes it.
+_TARGETS = {"markdown": "to_markdown", "layout": "to_layout_records", "text": "to_plain_text",
+            "tables": "extract_tables", "formulas": "extract_formulas"}
 
 
 def _convert(args: argparse.Namespace, where: str, obj: Any) -> Any:
     from . import convert
 
-    converter = {
-        "markdown": convert.to_markdown,
-        "layout": convert.to_layout_records,
-        "text": convert.to_plain_text,
-        "tables": convert.extract_tables,
-        "formulas": convert.extract_formulas,
-    }[args.target]
+    converter = getattr(convert, _TARGETS[args.target])
     return to_json_value(converter(document_from_dict(obj, where=where)))
 
 
@@ -226,11 +219,8 @@ def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
 
 
 def _per_document(step: Callable[[argparse.Namespace, str, Any], Any], args: argparse.Namespace) -> int:
-    """Run ``step`` on each line of ``args.input`` in order; write one line each."""
-    results = []
-    for where, obj in _load_objects(args.input):
-        results.append((where, step(args, where, obj)))
-    _emit(results, args.output)
+    """Run ``step`` on each line of ``args.input`` in order, each encoded before the next is read."""
+    _emit(((where, step(args, where, obj)) for where, obj in _load_objects(args.input)), args.output)
     return 0
 
 
@@ -334,12 +324,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # malformed input must never crash the process
-        print(f"error: {exc!r}", file=sys.stderr)
-        return 1
+    except Exception:  # bad input raises ValueError; anything else is a fault in docrec
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .convert import element_text, to_markdown
+from . import convert
+from .convert import element_text  # by name, as perfbench/spans.py wraps metrics.element_text
 from .model import BoundingBox, Document, Element, exact_boxes
 
 
@@ -277,6 +278,6 @@ def evaluate(
         scores = tuple(document_score(gt, pred) for gt, pred in pairs)
         dsm_value = 1.0 - sum(s.normalized for s in scores) / len(scores)
     if compute_ned:
-        values = [ned_similarity(to_markdown(gt), to_markdown(pred)) for gt, pred in pairs]
+        values = [ned_similarity(convert.to_markdown(gt), convert.to_markdown(pred)) for gt, pred in pairs]
         ned_value = sum(values) / len(values)
     return EvalReport(scores, dsm=dsm_value, ned=ned_value, corpus_size=len(pairs))

@@ -9,7 +9,8 @@ diagnosed rather than rejected at construction time.
 from __future__ import annotations
 
 import math
-import unicodedata
+import re
+import sys
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from typing import Any, Sequence
@@ -17,6 +18,9 @@ from typing import Any, Sequence
 #: Default number of coordinate quantization bins per axis. Coordinates are
 #: normalized by the page dimension, so the grid is resolution-independent.
 DEFAULT_BINS = 1000
+
+#: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
+MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class Category(Enum):
@@ -188,6 +192,10 @@ def dequantize_coord(bin_index: int, extent: float, bins: int = DEFAULT_BINS) ->
 
 # Substrings that would collide with the serialized token text format.
 _FORBIDDEN_IN_LINE_TEXT = ("<Sep>", "<\\n>")
+#: Unicode's control characters (category Cc) but tab, newline and carriage return.
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
+#: Least span with more digits than ``str`` may write.
+_SPAN_LIMIT = 10**MAX_INT_DIGITS if MAX_INT_DIGITS else math.inf
 
 
 def _check_box(bbox: BoundingBox, where: str, width: float, height: float, out: list[str]) -> None:
@@ -199,10 +207,9 @@ def _check_box(bbox: BoundingBox, where: str, width: float, height: float, out: 
 
 
 def _check_text(text: str, where: str, out: list[str]) -> None:
-    for ch in text:
-        if unicodedata.category(ch) == "Cc" and ch not in "\t\n\r":
-            out.append(f"{where}: text contains control character {ch!r}")
-            break
+    control = _CONTROL_RE.search(text)
+    if control:
+        out.append(f"{where}: text contains control character {control.group()!r}")
     for token in _FORBIDDEN_IN_LINE_TEXT:
         if token in text:
             out.append(f"{where}: text contains reserved token {token!r}")
@@ -238,10 +245,11 @@ def validate_document(doc: Document) -> list[str]:
                 for c, cell in enumerate(row):
                     sub = f"{where} cell {r},{c}"
                     _check_box(cell.bbox, sub, w, h, problems)
-                    if cell.rowspan < 1:
-                        problems.append(f"{sub}: rowspan {cell.rowspan} < 1")
-                    if cell.colspan < 1:
-                        problems.append(f"{sub}: colspan {cell.colspan} < 1")
+                    for name, span in (("rowspan", cell.rowspan), ("colspan", cell.colspan)):
+                        if span < 1:
+                            problems.append(f"{sub}: {name} {span} < 1")
+                        elif span >= _SPAN_LIMIT:
+                            problems.append(f"{sub}: {name} has more than {MAX_INT_DIGITS} digits")
     return problems
 
 

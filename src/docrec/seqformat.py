@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
     DEFAULT_BINS,
+    MAX_INT_DIGITS,
     BoundingBox,
     Category,
     Document,
@@ -61,11 +61,9 @@ _CATEGORIES = {f"<{cat.value}>": cat for cat in Category}
 #: Every tag but <td>, which may carry spans (see _TD_TAG_RE).
 _FIXED_TAGS = frozenset((*_CATEGORIES, "<Sep>", "<\\n>", "<tr>", "</tr>", "</td>"))
 
-#: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 # Canonical decimal: ASCII digits, no leading zero, so each number has one text,
-# and at most _MAX_DIGITS of them, so that the text converts to an int.
-_UINT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})" if _MAX_DIGITS else r"(?:0|[1-9][0-9]*)"
+# and at most MAX_INT_DIGITS of them, so that the text converts to an int.
+_UINT = rf"(?:0|[1-9][0-9]{{0,{MAX_INT_DIGITS - 1}}})" if MAX_INT_DIGITS else r"(?:0|[1-9][0-9]*)"
 _DIGITS_RE = re.compile(_UINT)
 #: A <td> tag; its groups are the rowspan and colspan, or None where absent.
 _TD_TAG_RE = re.compile(rf'<td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?>')
@@ -365,9 +363,9 @@ def render_tokens(seq: TokenSequence) -> str:
             f"<{tok}>" if type(tok) is int else _RENDERED.get(tok, tok) for tok in seq.tokens
         )
     except ValueError as exc:  # only str(int) raises it here
-        limit = 10**_MAX_DIGITS
+        limit = 10**MAX_INT_DIGITS
         index = next(i for i, tok in enumerate(seq.tokens) if type(tok) is int and abs(tok) >= limit)
-        raise ValueError(f"token {index}: a bin of more than {_MAX_DIGITS} digits") from exc
+        raise ValueError(f"token {index}: a bin of more than {MAX_INT_DIGITS} digits") from exc
     # Only a <Sep> renders a raw newline: escaped text and tags hold none.
     return text[:-1] if text.endswith("\n") else text
 

@@ -1,7 +1,10 @@
+import copy
 import io
 import json
 import random
 import tempfile
+import types
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrec import cli
 from docrec.cli import main
 from docrec.model import document_from_dict, document_to_dict, validate_document
 from helpers import random_corpus, staircase_boxes
@@ -696,3 +700,133 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, expected):
         paths[name].write_text(json.dumps(obj) + "\n", encoding="utf-8")
     assert main([argv[0], *(str(paths.get(a, a)) for a in argv[1:])]) == 0
     assert capsys.readouterr().out == expected
+
+
+# --- one document at a time ---------------------------------------------------
+
+#: The commands that read one input file line by line, and their flags.
+_LINE_COMMANDS = {"validate": [], "order": [], "convert": ["--target", "markdown"], "gtgen": []}
+
+
+class _Decoded(dict):
+    """A decoded line that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("command", list(_LINE_COMMANDS))
+def test_each_decoded_line_is_dropped_before_the_next_is_decoded(tmp_path, capsys, monkeypatch, command):
+    page = _GOLDEN_GTGEN if command == "gtgen" else _GOLDEN_PAGE
+    path = tmp_path / "corpus.jsonl"
+    path.write_text((json.dumps(page) + "\n") * 8, encoding="utf-8")
+    decoded, alive = [], []
+
+    def loads(text, **kw):
+        # Before each decode: how many values decoded from earlier lines are still held.
+        alive.append(sum(ref() is not None for ref in decoded))
+        value = _Decoded(json.loads(text, **kw))
+        decoded.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(loads=loads, dumps=json.dumps))
+    assert main([command, str(path), *_LINE_COMMANDS[command]]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == (1 if command == "validate" else 8)
+    assert len(alive) == 8
+    assert max(alive) <= 1
+
+
+@pytest.mark.parametrize("command", [*_LINE_COMMANDS, "eval"])
+def test_the_first_failing_line_is_reported_whatever_its_fault(tmp_path, capsys, command):
+    # Line 1 lacks the page size; line 2 is not JSON. Line 1 is decoded and run first.
+    path = tmp_path / "prec.jsonl"
+    path.write_text('{"page_width": 10}\n{bad json\n', encoding="utf-8")
+    out_path = tmp_path / "out.jsonl"
+    if command == "eval":
+        argv = ["eval", "--gt", str(path), "--pred", str(path)]
+    else:
+        argv = [command, str(path), *_LINE_COMMANDS[command]]
+        if command != "validate":
+            argv += ["-o", str(out_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:1: missing page_width/page_height\n"
+    assert not out_path.exists()
+
+
+def test_a_fault_in_docrec_exits_3_with_its_traceback(tmp_path, capsys, monkeypatch):
+    from docrec import readorder
+
+    def broken(boxes, cfg):
+        raise TypeError("unhashable type: 'BoundingBox'")
+
+    monkeypatch.setattr(readorder, "xy_cut_order", broken)
+    path = tmp_path / "page.jsonl"
+    path.write_text(json.dumps(_GOLDEN_PAGE) + "\n", encoding="utf-8")
+    out_path = tmp_path / "out.jsonl"
+    assert main(["order", str(path), "-o", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("TypeError: unhashable type: 'BoundingBox'\n")
+    assert not out_path.exists()
+
+
+def _slots(value):
+    """Every (container, key) pair of a JSON tree, outermost first."""
+    for key, item in list(value.items() if isinstance(value, dict) else enumerate(value)):
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from _slots(item)
+
+
+_CONTROL_CHARS = st.sampled_from("\x00\x08\t\n\x0b\x0c\r\x1b\x1f\x7f\x85\x9f\u2028")
+_WRONG_VALUES = st.one_of(
+    # Copied, as a later mutation may change a drawn list or object in place.
+    st.sampled_from([None, True, False, "", "Paragraph", [], {}, [0, 0, 1], [[1, 2, 3, 4]], {"bbox": []}])
+    .map(copy.deepcopy),
+    st.sampled_from([0, -1, 2**63, 10**400, -(10**400), 1e308, -1e308, 5e-324, 1.5, -0.0]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(_CONTROL_CHARS, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_are_bad_input_or_valid_output(data):
+    """Wrong types, huge numbers, dropped keys and control characters anywhere in a
+    valid document: the exit is 0 with JSON on stdout, or 1 naming the file; never 3."""
+    command = data.draw(st.sampled_from(["validate", "order", "convert", "gtgen", "eval"]))
+    root = [json.loads(json.dumps(_GOLDEN_GTGEN if command == "gtgen" else _GOLDEN_PAGE))]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        container, key = data.draw(st.sampled_from(list(_slots(root))), label="slot")
+        action = data.draw(st.sampled_from(["replace", "drop", "control"]), label="action")
+        if action == "drop" and container is not root:
+            del container[key]
+        elif action == "control" and isinstance(container[key], str):
+            at = data.draw(st.integers(0, len(container[key])), label="at")
+            container[key] = container[key][:at] + data.draw(_CONTROL_CHARS) + container[key][at:]
+        else:
+            container[key] = data.draw(_WRONG_VALUES, label="value")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, good = Path(tmp) / "mutant.jsonl", Path(tmp) / "good.jsonl"
+        path.write_text(json.dumps(root[0]) + "\n", encoding="utf-8")
+        good.write_text(json.dumps(_GOLDEN_PAGE) + "\n", encoding="utf-8")
+        if command == "eval":
+            pair = data.draw(st.permutations([str(path), str(good)]), label="gt, pred")
+            metric = data.draw(st.sampled_from(["dsm", "ned", "both"]), label="metric")
+            argv = ["eval", "--gt", pair[0], "--pred", pair[1], "--metric", metric]
+        elif command == "convert":
+            argv = ["convert", str(path), "--target", data.draw(st.sampled_from(list(cli._TARGETS)))]
+        else:
+            argv = [command, str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    else:
+        assert out.getvalue() == ""
+        assert str(path) in err.getvalue()

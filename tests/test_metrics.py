@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from docrec import metrics
+from docrec import convert, metrics
 from docrec.metrics import (
     EmptyDocumentError,
     document_distance,
@@ -411,6 +411,16 @@ def test_corpus_ned_and_evaluate():
     assert dsm_only.ned is None and dsm_only.dsm == 1.0
     ned_only = evaluate(corpus, corpus, compute_dsm=False)
     assert ned_only.dsm is None and ned_only.ned == 1.0
+
+
+def test_ned_looks_up_to_markdown_on_its_module(monkeypatch):
+    """A wrapper put on ``convert.to_markdown`` sees the calls ``evaluate`` makes."""
+    corpus = random_corpus(random.Random(12), 3)
+    seen = []
+    to_markdown = convert.to_markdown
+    monkeypatch.setattr(convert, "to_markdown", lambda doc: seen.append(doc) or to_markdown(doc))
+    assert evaluate(corpus, corpus, compute_dsm=False).ned == 1.0
+    assert seen == [doc for doc in corpus for _ in range(2)]
 
 
 def test_report_dict_shape():

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import unicodedata
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from docrec import model
 from docrec.model import (
     BoundingBox,
     Category,
@@ -202,8 +205,15 @@ def test_validate_reports_out_of_bounds_and_spans_and_text():
     assert any("outside page" in p for p in problems)
     assert any("rowspan 0 < 1" in p for p in problems)
     assert "element 1 cell 0,1: colspan 0 < 1" in problems
-    assert any("control character" in p for p in problems)
+    assert "element 2 line 0: text contains control character '\\x00'" in problems
     assert "element 3: category 'Figure' is not a Category" in problems
+
+
+def test_control_characters_are_unicode_cc_but_tab_newline_and_return():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    cc = {ch for ch in every if unicodedata.category(ch) == "Cc"}
+    assert len(cc) == 65
+    assert set(model._CONTROL_RE.findall(every)) == cc - set("\t\n\r")
 
 
 def test_validate_reports_reserved_token_text():

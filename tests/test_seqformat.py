@@ -19,6 +19,7 @@ from docrec.model import (
     TableCell,
     TableContent,
     TextLine,
+    validate_document,
 )
 from docrec.seqformat import (
     ParseError,
@@ -467,6 +468,23 @@ def test_parse_takes_spans_of_at_most_the_int_digit_limit(digits):
         parse(TokenSequence(tokens, bins=10), 10, 10)
     assert err.value.kind is ParseErrorKind.MALFORMED_TABLE_TAGS
     assert err.value.offset == 6
+
+
+@pytest.mark.parametrize("span", ["rowspan", "colspan"])
+@pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
+def test_serialize_takes_spans_of_at_most_the_int_digit_limit(span, digits):
+    spans = {"rowspan": 1, "colspan": 1, span: 10**digits - 1}
+    cell = TableCell(BoundingBox(1, 1, 9, 9), text="x", **spans)
+    doc = Document(10.0, 10.0, (Element(Category.TABLE, BoundingBox(0, 0, 10, 10), TableContent(((cell,),))),))
+    if digits <= _LIMIT:
+        assert validate_document(doc) == []
+        assert f'<td {span}="{"9" * digits}">' in serialize(doc, bins=10).tokens
+        return
+    problem = f"element 0 cell 0,0: {span} has more than {_LIMIT} digits"
+    assert validate_document(doc) == [problem]
+    with pytest.raises(DocumentValidationError) as err:
+        serialize(doc, bins=10)
+    assert err.value.violations == [problem]
 
 
 @pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
