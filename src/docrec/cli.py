@@ -11,7 +11,9 @@ decoded or run is the one reported, and nothing is written unless all can.
 ``--jobs N`` is checked and has no effect: it stays so that existing command
 lines keep working.
 Each subcommand imports the library modules it runs, when it runs, so a call
-loads only what it needs.
+loads only what it needs. ``eval`` reads each corpus into one dict of
+id -> ("path:line", document), the id being the ``--key`` field or else the
+document's position, and passes ``--metric`` to ``metrics.evaluate`` as given.
 """
 
 from __future__ import annotations
@@ -120,16 +122,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], dict[Any, str]]:
-    """Decode a corpus; with ``key``, also map each document's id to its "path:line".
+def _load_corpus(path: str, key: str | None = None) -> dict[Any, tuple[str, Document]]:
+    """Decode a corpus into ``{id: ("path:line", document)}``, in file order.
 
-    An id is a string or an integer (not a bool, which would equal 1 or 0)
-    and is unique within its corpus.
+    Without ``key`` the id is the document's position. With it, the id is
+    that top-level field: a string or an integer (not a bool, which would
+    equal 1 or 0), unique within its corpus.
     """
-    docs: list[Document] = []
-    ids: dict[Any, str] = {}
+    corpus: dict[Any, tuple[str, Document]] = {}
     for where, obj in _load_objects(path):
-        docs.append(document_from_dict(obj, where=where))
+        doc = document_from_dict(obj, where=where)
+        value: Any = len(corpus)
         if key is not None:
             if key not in obj:
                 raise ValueError(f"{where}: missing alignment key {key!r}")
@@ -138,40 +141,25 @@ def _load_corpus(path: str, key: str | None = None) -> tuple[list[Document], dic
                 raise ValueError(
                     f"{where}: alignment key {key!r} must be a string or an integer, got {value!r}"
                 )
-            if value in ids:
-                raise ValueError(f"{where}: duplicate {key!r} value {value!r}, first at {ids[value]}")
-            ids[value] = where
-    return docs, ids
-
-
-def _align_by_key(
-    gt_ids: dict[Any, str], pred: list[Document], pred_ids: dict[Any, str], key: str
-) -> list[Document]:
-    pred_by_id = dict(zip(pred_ids, pred))
-    aligned = []
-    for gid, where in gt_ids.items():
-        if gid not in pred_by_id:
-            raise ValueError(f"{where}: no predicted document with {key!r} == {gid!r}")
-        aligned.append(pred_by_id[gid])
-    for pid, where in pred_ids.items():
-        if pid not in gt_ids:
-            raise ValueError(f"{where}: no ground-truth document with {key!r} == {pid!r}")
-    return aligned
+            if value in corpus:
+                raise ValueError(f"{where}: duplicate {key!r} value {value!r}, first at {corpus[value][0]}")
+        corpus[value] = (where, doc)
+    return corpus
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
-    gt_docs, gt_ids = _load_corpus(args.gt, args.key)
-    pred_docs, pred_ids = _load_corpus(args.pred, args.key)
+    gt = _load_corpus(args.gt, args.key)
+    pred = _load_corpus(args.pred, args.key)
     if args.key is not None:
-        pred_docs = _align_by_key(gt_ids, pred_docs, pred_ids, args.key)
-    report = metrics.evaluate(
-        gt_docs,
-        pred_docs,
-        compute_dsm=args.metric in ("dsm", "both"),
-        compute_ned=args.metric in ("ned", "both"),
-    )
+        # Every gt id is matched before any pred id, each in file order.
+        for ids, other, side in ((gt, pred, "predicted"), (pred, gt, "ground-truth")):
+            for value, (where, _) in ids.items():
+                if value not in other:
+                    raise ValueError(f"{where}: no {side} document with {args.key!r} == {value!r}")
+        pred = {value: pred[value] for value in gt}
+    report = metrics.evaluate([doc for _, doc in gt.values()], [doc for _, doc in pred.values()], args.metric)
     _emit([(f"{args.gt} vs {args.pred}", to_json_value(report))])
     return 0
 
@@ -196,7 +184,8 @@ def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
     doc = document_from_dict(obj, where=where)
     order = readorder.xy_cut_order([el.bbox for el in doc.elements], args.order_cfg)
     reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
-    # Extra top-level keys (an alignment id, say) pass through unchanged.
+    # Extra top-level keys (an alignment id, say) are kept, ahead of the document's
+    # own; ``_emit`` rounds their floats to 4 decimals, as it does every float.
     return {**obj, **document_to_dict(reordered)}
 
 

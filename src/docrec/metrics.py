@@ -1,11 +1,11 @@
 """Similarity metrics for document reconstruction.
 
-Per-element costs combine a location term (category + box overlap) with a
-transcription term (normalized edit distance over canonical strings); a
-document-level distance accumulates element costs along a monotone
-alignment, and the corpus similarity is one minus the mean normalized
-distance. A markdown-level normalized-edit-distance similarity is provided
-alongside for text-only comparison.
+The cost of pairing two elements averages a location term (category + box
+overlap) and a transcription term (normalized edit distance over canonical
+strings); ``document_distance`` sums these costs along a monotone alignment,
+and ``dsm`` is one minus the corpus mean of normalized distances. ``ned``, a
+markdown-level normalized-edit-distance similarity, serves text-only
+comparison; ``evaluate`` computes either or both.
 """
 
 from __future__ import annotations
@@ -88,27 +88,6 @@ def _normalized_edit_distance(a: str, b: str) -> float:
     return edit_distance(a, b) / max(len(a), len(b))
 
 
-def transcription_cost(gt: Element, pred: Element) -> float:
-    """Normalized edit distance between canonical transcription strings.
-
-    Defined as 0 when both strings are empty (two figures match perfectly).
-    """
-    return _normalized_edit_distance(element_text(gt), element_text(pred))
-
-
-@dataclass(frozen=True)
-class ElementCostBreakdown:
-    location_cost: float
-    transcription_cost: float
-    total: float
-
-
-def element_cost(gt: Element, pred: Element) -> ElementCostBreakdown:
-    loc = location_cost(gt, pred)
-    tran = transcription_cost(gt, pred)
-    return ElementCostBreakdown(loc, tran, (loc + tran) / 2.0)
-
-
 class EmptyDocumentError(ValueError):
     """Raised by document_distance when either document has no elements."""
 
@@ -165,21 +144,24 @@ def _backtrack(dist: list[list[float]]) -> list[tuple[int, int]]:
 def document_distance(gt: Document, pred: Document) -> float:
     """Minimum accumulated element cost over a monotone alignment.
 
-    The recurrence charges the cell cost on every move, including skips
-    (DTW-style), with first row/column accumulating along the edge.
+    The cost of the cell for gt element g and predicted element p is the mean
+    of two terms in [0, 1]: ``location_cost(g, p)``, and the transcription
+    cost, which is the edit distance between their ``element_text`` strings
+    over the longer one's length, or 0 when both are empty. The recurrence
+    charges the cell cost on every move, including skips (DTW-style), with
+    first row/column accumulating along the edge.
 
-    The result is that of the DP over every ``element_cost(g, p).total``,
-    bit for bit, but most cells never run an edit distance (lazy path
-    evaluation, after Dellin & Srinivasa, ICAPS 2016). Every cell starts at
-    a lower bound on its cost, with the length difference standing in for
-    the edit distance. Then the DP runs, one cheapest path is walked back
-    from the corner, and that path's cells get their exact costs; this
-    repeats until the path holds only exact costs, or, once the rounds' DP
-    cells pass 16 per inexact cell, all cells are made exact. That DP's
-    value is exact: lowering a cost never raises a rounded DP value, because
-    ``min`` and ``fl(x + c)`` are monotone, so it is at most the full DP's;
-    and it is the rounded sum of exact costs along one path, which the full
-    DP cannot undercut.
+    The result is that of the DP over every cell's exact cost, bit for bit,
+    but most cells never run an edit distance (lazy path evaluation, after
+    Dellin & Srinivasa, ICAPS 2016). Every cell starts at a lower bound on
+    its cost, with the length difference standing in for the edit distance.
+    Then the DP runs, one cheapest path is walked back from the corner, and
+    that path's cells get their exact costs; this repeats until the path
+    holds only exact costs, or, once the rounds' DP cells pass 16 per inexact
+    cell, all cells are made exact. That DP's value is exact: lowering a
+    cost never raises a rounded DP value, because ``min`` and ``fl(x + c)``
+    are monotone, so it is at most the full DP's; and it is the rounded sum
+    of exact costs along one path, which the full DP cannot undercut.
     """
     k = len(gt.elements)
     kt = len(pred.elements)
@@ -248,7 +230,7 @@ def document_score(gt: Document, pred: Document) -> DocumentScore:
 
 def dsm(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> EvalReport:
     """Document similarity over index-aligned corpora, in [0, 1]; 1 is identity."""
-    return evaluate(gt_corpus, pred_corpus, compute_ned=False)
+    return evaluate(gt_corpus, pred_corpus, "dsm")
 
 
 def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
@@ -257,12 +239,11 @@ def ned_similarity(gt_markdown: str, pred_markdown: str) -> float:
 
 
 def evaluate(
-    gt_corpus: Sequence[Document],
-    pred_corpus: Sequence[Document],
-    compute_dsm: bool = True,
-    compute_ned: bool = True,
+    gt_corpus: Sequence[Document], pred_corpus: Sequence[Document], metric: str = "both"
 ) -> EvalReport:
-    """Corpus evaluation combining both metrics as requested."""
+    """Corpus evaluation by ``metric``: "dsm", "ned" or "both"; a metric not asked for is None."""
+    if metric not in ("dsm", "ned", "both"):
+        raise ValueError(f"metric must be 'dsm', 'ned' or 'both', got {metric!r}")
     if len(gt_corpus) != len(pred_corpus):
         raise ValueError(
             f"corpus length mismatch: {len(gt_corpus)} ground-truth vs "
@@ -274,10 +255,10 @@ def evaluate(
     scores: tuple[DocumentScore, ...] = ()
     dsm_value = None
     ned_value = None
-    if compute_dsm:
+    if metric != "ned":
         scores = tuple(document_score(gt, pred) for gt, pred in pairs)
         dsm_value = 1.0 - sum(s.normalized for s in scores) / len(scores)
-    if compute_ned:
+    if metric != "dsm":
         values = [ned_similarity(convert.to_markdown(gt), convert.to_markdown(pred)) for gt, pred in pairs]
         ned_value = sum(values) / len(values)
     return EvalReport(scores, dsm=dsm_value, ned=ned_value, corpus_size=len(pairs))

@@ -21,6 +21,8 @@ DEFAULT_BINS = 1000
 
 #: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
 MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+#: Least non-negative int with more digits than ``str`` may write; ``math.inf`` with no limit.
+INT_STR_LIMIT = 10**MAX_INT_DIGITS if MAX_INT_DIGITS else math.inf
 
 
 class Category(Enum):
@@ -194,8 +196,6 @@ def dequantize_coord(bin_index: int, extent: float, bins: int = DEFAULT_BINS) ->
 _FORBIDDEN_IN_LINE_TEXT = ("<Sep>", "<\\n>")
 #: Unicode's control characters (category Cc) but tab, newline and carriage return.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
-#: Least span with more digits than ``str`` may write.
-_SPAN_LIMIT = 10**MAX_INT_DIGITS if MAX_INT_DIGITS else math.inf
 
 
 def _check_box(bbox: BoundingBox, where: str, width: float, height: float, out: list[str]) -> None:
@@ -248,7 +248,7 @@ def validate_document(doc: Document) -> list[str]:
                     for name, span in (("rowspan", cell.rowspan), ("colspan", cell.colspan)):
                         if span < 1:
                             problems.append(f"{sub}: {name} {span} < 1")
-                        elif span >= _SPAN_LIMIT:
+                        elif span >= INT_STR_LIMIT:
                             problems.append(f"{sub}: {name} has more than {MAX_INT_DIGITS} digits")
     return problems
 

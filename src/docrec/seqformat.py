@@ -32,6 +32,7 @@ from enum import Enum
 
 from .model import (
     DEFAULT_BINS,
+    INT_STR_LIMIT,
     MAX_INT_DIGITS,
     BoundingBox,
     Category,
@@ -70,12 +71,14 @@ _TD_TAG_RE = re.compile(rf'<td(?: rowspan="({_UINT})")?(?: colspan="({_UINT})")?
 
 
 def td_tag(rowspan: int, colspan: int) -> str:
-    """The opening tag of a table cell, a span written only where it is above 1."""
+    """The opening tag of a table cell, a span written only where it is above 1. A span
+    too long for ``str`` raises ValueError, in ``validate_document``'s words."""
     tag = "<td"
-    if rowspan > 1:
-        tag += f' rowspan="{rowspan}"'
-    if colspan > 1:
-        tag += f' colspan="{colspan}"'
+    for name, span in (("rowspan", rowspan), ("colspan", colspan)):
+        if span > 1:
+            if span >= INT_STR_LIMIT:
+                raise ValueError(f"{name} has more than {MAX_INT_DIGITS} digits")
+            tag += f' {name}="{span}"'
     return tag + ">"
 
 
@@ -363,8 +366,7 @@ def render_tokens(seq: TokenSequence) -> str:
             f"<{tok}>" if type(tok) is int else _RENDERED.get(tok, tok) for tok in seq.tokens
         )
     except ValueError as exc:  # only str(int) raises it here
-        limit = 10**MAX_INT_DIGITS
-        index = next(i for i, tok in enumerate(seq.tokens) if type(tok) is int and abs(tok) >= limit)
+        index = next(i for i, tok in enumerate(seq.tokens) if type(tok) is int and abs(tok) >= INT_STR_LIMIT)
         raise ValueError(f"token {index}: a bin of more than {MAX_INT_DIGITS} digits") from exc
     # Only a <Sep> renders a raw newline: escaped text and tags hold none.
     return text[:-1] if text.endswith("\n") else text

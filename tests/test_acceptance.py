@@ -90,7 +90,7 @@ def test_criterion_01_metric_identity():
     for _ in range(100):
         corpus = random_corpus(rng, rng.randint(1, 20), 1, 8)
         assert dsm(corpus, corpus).dsm == 1.0
-        assert evaluate(corpus, corpus, compute_dsm=False).ned == 1.0
+        assert evaluate(corpus, corpus, "ned").ned == 1.0
 
 
 @criterion(2, "DSM symmetric within 1e-12 and bounded on 200 corpus pairs", limit=30)

@@ -59,6 +59,19 @@ def test_eval_metric_selection(corpus_file, capsys):
     assert report["per_document"] == []
 
 
+@pytest.mark.parametrize("metric", ["dsm", "ned", "both"])
+def test_eval_passes_its_metric_to_evaluate_unchanged(corpus_file, capsys, monkeypatch, metric):
+    from docrec import metrics
+
+    seen = []
+    evaluate = metrics.evaluate
+    monkeypatch.setattr(metrics, "evaluate", lambda gt, pred, m: seen.append(m) or evaluate(gt, pred, m))
+    path, _ = corpus_file
+    assert main(["eval", "--gt", path, "--pred", path, "--metric", metric]) == 0
+    assert seen == [metric]
+    assert json.loads(capsys.readouterr().out)["corpus_size"] == 4
+
+
 def test_eval_length_mismatch(tmp_path, capsys):
     rng = random.Random(1)
     gt = _write_corpus(tmp_path / "gt.jsonl", random_corpus(rng, 3))
@@ -613,9 +626,11 @@ def test_order_deeply_nested_layout(tmp_path, capsys):
     assert [el["bbox"][:2] for el in out["elements"]] == [[b.x_min, b.y_min] for b in boxes]
 
 
-# One hand-written page with every content kind, elements bottom-up.
+# One hand-written page with every content kind, elements bottom-up, and two
+# extra top-level keys, which ``order`` keeps with their floats rounded.
 _GOLDEN_PAGE = {
     "id": "p1",
+    "confidence": 0.123456789,
     "page_width": 200,
     "page_height": 200.0,
     "elements": [
@@ -663,7 +678,7 @@ _GOLDEN_GTGEN = {
         ),
         (
             ["order", "page"],
-            '{"id": "p1", "page_width": 200.0, "page_height": 200.0, "elements": ['
+            '{"id": "p1", "confidence": 0.1235, "page_width": 200.0, "page_height": 200.0, "elements": ['
             '{"category": "Paragraph", "bbox": [10.0, 10.0, 190.0, 40.0], "content": {"lines": ['
             '{"bbox": [10.0, 10.0, 190.0, 20.0], "text": "Hello world"}, '
             '{"bbox": [10.0, 25.0, 150.125, 35.0], "text": "second \\u00e9 line"}]}}, '

@@ -1,5 +1,8 @@
 import random
 import re
+import sys
+
+import pytest
 
 from docrec.convert import (
     extract_formulas,
@@ -157,6 +160,24 @@ def test_table_markup_opens_cells_with_the_serialized_td_tokens():
     opened = re.findall(r"<td[^>]*>", extract_tables(doc)[0])
     assert opened == ['<td rowspan="2" colspan="3">', '<td colspan="2">', '<td rowspan="4">', "<td>"]
     assert opened == [tok for tok in serialize(doc).tokens if type(tok) is str and tok.startswith("<td")]
+
+
+#: Most digits int() and str() convert between: 4,300 unless the environment sets it.
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("span", ["rowspan", "colspan"])
+@pytest.mark.parametrize("digits", [_LIMIT, _LIMIT + 1])
+def test_table_markup_takes_spans_of_at_most_the_int_digit_limit(span, digits):
+    spans = {"rowspan": (10**digits - 1, 1), "colspan": (1, 10**digits - 1)}[span]
+    doc = _doc(_table([["x"]], spans={(0, 0): spans}))
+    if digits <= _LIMIT:
+        assert extract_tables(doc) == [f'<tr><td {span}="{"9" * digits}">x</td></tr>']
+        assert to_markdown(doc) == extract_tables(doc)[0]
+        return
+    for convert in (extract_tables, to_markdown):
+        with pytest.raises(ValueError, match=f"^{span} has more than {_LIMIT} digits$"):
+            convert(doc)
 
 
 def test_extract_formulas():

@@ -13,12 +13,10 @@ from docrec.metrics import (
     document_score,
     dsm,
     edit_distance,
-    element_cost,
     evaluate,
     iou,
     location_cost,
     ned_similarity,
-    transcription_cost,
 )
 from docrec.model import (
     BoundingBox,
@@ -32,7 +30,7 @@ from docrec.model import (
     to_json_value,
 )
 from helpers import corrupt_transcriptions, random_corpus, random_document, perturb_document
-from oracles import naive_edit_distance, oracle_document_distance, oracle_iou
+from oracles import naive_edit_distance, oracle_document_distance, oracle_element_cost, oracle_iou
 
 
 def _para(box, text, page=1000.0):
@@ -187,28 +185,29 @@ def test_location_cost_examples():
 
 
 def test_transcription_cost_examples():
+    # One cell with equal boxes and categories costs half its transcription term.
     box = BoundingBox(0, 0, 10, 10)
-    assert transcription_cost(_para(box, "same"), _para(box, "same")) == 0.0
-    assert transcription_cost(_fig(box), _fig(box)) == 0.0
-    assert transcription_cost(_para(box, "ab"), _para(box, "b")) == 0.5
+    assert document_distance(_doc(_para(box, "same")), _doc(_para(box, "same"))) == 0.0
+    assert document_distance(_doc(_fig(box)), _doc(_fig(box))) == 0.0  # both texts empty
+    assert document_distance(_doc(_para(box, "ab")), _doc(_para(box, "b"))) == 0.5 / 2
 
 
 def test_element_cost_breakdown():
+    # A cell costs the mean of its location and transcription terms.
     box = BoundingBox(0, 0, 10, 10)
-    same = element_cost(_fig(box), _fig(box))
-    assert (same.location_cost, same.transcription_cost, same.total) == (0, 0, 0)
-    breakdown = element_cost(_para(box, "ab"), _para(BoundingBox(0, 0, 10, 5), "b"))
-    assert breakdown.total == (breakdown.location_cost + breakdown.transcription_cost) / 2
+    assert oracle_element_cost(_fig(box), _fig(box)) == 0.0
+    gt, pred = _para(box, "ab"), _para(BoundingBox(0, 0, 10, 5), "b")
+    assert oracle_element_cost(gt, pred) == (location_cost(gt, pred) + 0.5) / 2
+    assert document_distance(_doc(gt), _doc(pred)) == (location_cost(gt, pred) + 0.5) / 2
 
 
 def test_element_cost_hand_value():
     # Same category, IoU 1/2, texts "ab" vs "b": loc (0 + .5)/2, tran .5.
     gt = _para(BoundingBox(0, 0, 10, 10), "ab")
     pred = _para(BoundingBox(0, 0, 10, 5), "b")
-    breakdown = element_cost(gt, pred)
-    assert breakdown.location_cost == pytest.approx(0.25)
-    assert breakdown.transcription_cost == 0.5
-    assert breakdown.total == pytest.approx(0.375)
+    assert location_cost(gt, pred) == pytest.approx(0.25)
+    assert oracle_element_cost(gt, pred) == pytest.approx(0.375)
+    assert document_distance(_doc(gt), _doc(pred)) == pytest.approx(0.375)
 
 
 def test_document_distance_identity_and_single_cell():
@@ -216,7 +215,7 @@ def test_document_distance_identity_and_single_cell():
     assert document_distance(doc, doc) == 0.0
     gt = _doc(_para(BoundingBox(0, 0, 10, 10), "ab"))
     pred = _doc(_para(BoundingBox(0, 0, 10, 5), "b"))
-    assert document_distance(gt, pred) == element_cost(gt.elements[0], pred.elements[0]).total
+    assert document_distance(gt, pred) == oracle_element_cost(gt.elements[0], pred.elements[0])
 
 
 def test_document_distance_2x2_matches_path_enumeration():
@@ -239,9 +238,16 @@ def test_document_distance_matches_oracle_random():
         assert document_distance(gt, pred) == oracle_document_distance(gt, pred)
 
 
+def _cell_cost(g, p):
+    """The mean of the location and the normalized edit distance of the element texts."""
+    a, b = convert.element_text(g), convert.element_text(p)
+    transcription = edit_distance(a, b) / max(len(a), len(b)) if a or b else 0.0
+    return (location_cost(g, p) + transcription) / 2.0
+
+
 def _unpruned_document_distance(gt, pred):
     """The alignment DP over every cell's exact cost, with no pruning."""
-    cost = [[element_cost(g, p).total for p in pred.elements] for g in gt.elements]
+    cost = [[_cell_cost(g, p) for p in pred.elements] for g in gt.elements]
     k, kt = len(cost), len(cost[0])
     dist = [[0.0] * kt for _ in range(k)]
     for i in range(k):
@@ -353,7 +359,7 @@ def test_dsm_hand_value():
     shared = _para(BoundingBox(0, 0, 100, 100), "same text")
     gt2 = _para(BoundingBox(0, 200, 10, 210), "ab")
     pred2 = _para(BoundingBox(0, 200, 10, 205), "")
-    assert element_cost(gt2, pred2).total == pytest.approx(0.625)
+    assert oracle_element_cost(gt2, pred2) == pytest.approx(0.625)
     report = dsm([_doc(shared, gt2)], [_doc(shared, pred2)])
     assert report.dsm == pytest.approx(0.6875, abs=1e-12)
 
@@ -407,10 +413,25 @@ def test_corpus_ned_and_evaluate():
     report = evaluate(corpus, corpus)
     assert report.dsm == 1.0
     assert report.ned == 1.0
-    dsm_only = evaluate(corpus, corpus, compute_ned=False)
+    dsm_only = evaluate(corpus, corpus, "dsm")
     assert dsm_only.ned is None and dsm_only.dsm == 1.0
-    ned_only = evaluate(corpus, corpus, compute_dsm=False)
-    assert ned_only.dsm is None and ned_only.ned == 1.0
+    ned_only = evaluate(corpus, corpus, "ned")
+    assert ned_only.dsm is None and ned_only.ned == 1.0 and ned_only.per_document == ()
+
+
+@pytest.mark.parametrize("metric", ["DSM", "", "all", None, True])
+def test_evaluate_rejects_an_unknown_metric(metric):
+    corpus = random_corpus(random.Random(12), 2)
+    with pytest.raises(ValueError, match="metric must be 'dsm', 'ned' or 'both'"):
+        evaluate(corpus, corpus, metric)
+
+
+def test_dsm_is_evaluate_with_the_dsm_metric():
+    rng = random.Random(13)
+    gt = random_corpus(rng, 4, 0, 5)
+    pred = [perturb_document(rng, doc) for doc in gt]
+    assert dsm(gt, pred) == evaluate(gt, pred, "dsm")
+    assert dsm(gt, pred).ned is None
 
 
 def test_ned_looks_up_to_markdown_on_its_module(monkeypatch):
@@ -419,7 +440,7 @@ def test_ned_looks_up_to_markdown_on_its_module(monkeypatch):
     seen = []
     to_markdown = convert.to_markdown
     monkeypatch.setattr(convert, "to_markdown", lambda doc: seen.append(doc) or to_markdown(doc))
-    assert evaluate(corpus, corpus, compute_dsm=False).ned == 1.0
+    assert evaluate(corpus, corpus, "ned").ned == 1.0
     assert seen == [doc for doc in corpus for _ in range(2)]
 
 

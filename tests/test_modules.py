@@ -39,6 +39,42 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+#: Public names with no caller outside tests yet, and why each stays.
+_UNCALLED = {
+    "fuzzy_match": "perfbench/spans.py wraps gtgen.edit_distance; both go in ROADMAP item 4",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """No export exists only for tests: each module-level public name of ``docrec``
+    is read in ``src/docrec`` or ``perfbench/`` (a name, an attribute, or an
+    identifier string such as a ``convert --target`` table entry), or named in
+    the README."""
+    root = Path(docrec.__file__).resolve().parent
+    repo = root.parent.parent
+    defined, used = {}, set(re.findall(r"\w+", (repo / "README.md").read_text(encoding="utf-8")))
+    for path in sorted(root.glob("*.py")) + sorted((repo / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used.add(node.value)
+        if path.parent == root:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = path.name
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined.update((t.id, path.name) for t in targets if isinstance(t, ast.Name))
+    uncalled = sorted(f"{module}: {name}" for name, module in defined.items()
+                      if not name.startswith("_") and name not in used and name not in _UNCALLED)
+    assert uncalled == []
+    assert used & set(_UNCALLED) == set()  # a name that gains a caller leaves the list
+
+
 def _run_python(code: str, cwd: Path | None = None) -> str:
     """The stdout of ``code`` run in a fresh interpreter that imports this docrec."""
     src = str(Path(docrec.__file__).resolve().parent.parent)
