@@ -65,9 +65,12 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_objects(path: str) -> Iterator[tuple[str, Any]]:
-    """Yield ("path:line", value) for each line of a newline-delimited JSON file, as it is decoded.
+def _load_documents(path: str) -> Iterator[tuple[str, Any, Document]]:
+    """Yield ("path:line", value, document) for each line of a newline-delimited JSON file.
 
+    Each line is decoded, and its value built into a document by
+    ``document_from_dict``, only when the one before it has been taken. The
+    value is yielded too, for the top-level keys a document does not hold.
     The whole file is read and checked as UTF-8 first. Lines end at "\\n"
     only: JSON strings may hold a raw U+2028 or U+0085, which
     ``str.splitlines`` would take for a line end. A line of JSON whitespace is
@@ -82,7 +85,7 @@ def _load_objects(path: str) -> Iterator[tuple[str, Any]]:
             obj = json.loads(line, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-        yield where, obj
+        yield where, obj, document_from_dict(obj, where=where)
 
 
 def _emit(results: Iterable[tuple[str, Any]], path: str | None = None) -> None:
@@ -110,7 +113,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         tokens = scan_tokens(_read_text(args.input), bins=args.bins)
         docs = [(args.input, parse_tokens(tokens, args.page_width, args.page_height))]
     else:
-        docs = ((where, document_from_dict(obj, where=where)) for where, obj in _load_objects(args.input))
+        docs = ((where, doc) for where, _, doc in _load_documents(args.input))
     count, problems = 0, []
     for count, (where, doc) in enumerate(docs, 1):
         problems.extend(f"{where}: {v}" for v in validate_document(doc))
@@ -130,8 +133,7 @@ def _load_corpus(path: str, key: str | None = None) -> dict[Any, tuple[str, Docu
     equal 1 or 0), unique within its corpus.
     """
     corpus: dict[Any, tuple[str, Document]] = {}
-    for where, obj in _load_objects(path):
-        doc = document_from_dict(obj, where=where)
+    for where, obj, doc in _load_documents(path):
         value: Any = len(corpus)
         if key is not None:
             if key not in obj:
@@ -171,17 +173,15 @@ _TARGETS = {"markdown": "to_markdown", "layout": "to_layout_records", "text": "t
             "tables": "extract_tables", "formulas": "extract_formulas"}
 
 
-def _convert(args: argparse.Namespace, where: str, obj: Any) -> Any:
+def _convert(args: argparse.Namespace, where: str, obj: Any, doc: Document) -> Any:
     from . import convert
 
-    converter = getattr(convert, _TARGETS[args.target])
-    return to_json_value(converter(document_from_dict(obj, where=where)))
+    return to_json_value(getattr(convert, _TARGETS[args.target])(doc))
 
 
-def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
+def _order(args: argparse.Namespace, where: str, obj: Any, doc: Document) -> dict:
     from . import readorder
 
-    doc = document_from_dict(obj, where=where)
     order = readorder.xy_cut_order([el.bbox for el in doc.elements], args.order_cfg)
     reordered = Document(doc.page_width, doc.page_height, tuple(doc.elements[i] for i in order))
     # Extra top-level keys (an alignment id, say) are kept, ahead of the document's
@@ -189,10 +189,9 @@ def _order(args: argparse.Namespace, where: str, obj: Any) -> dict:
     return {**obj, **document_to_dict(reordered)}
 
 
-def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
+def _gtgen(args: argparse.Namespace, where: str, obj: Any, page: Document) -> dict:
     from . import gtgen
 
-    page = document_from_dict(obj, where=where)
     lines = text_lines_from_value(obj.get("lines", []), f"{where}.lines")
     result = gtgen.assemble_ground_truth(
         [(el.category, el.bbox) for el in page.elements],
@@ -207,9 +206,9 @@ def _gtgen(args: argparse.Namespace, where: str, obj: Any) -> dict:
     return out
 
 
-def _per_document(step: Callable[[argparse.Namespace, str, Any], Any], args: argparse.Namespace) -> int:
+def _per_document(step: Callable[[argparse.Namespace, str, Any, Document], Any], args: argparse.Namespace) -> int:
     """Run ``step`` on each line of ``args.input`` in order, each encoded before the next is read."""
-    _emit(((where, step(args, where, obj)) for where, obj in _load_objects(args.input)), args.output)
+    _emit(((where, step(args, where, obj, doc)) for where, obj, doc in _load_documents(args.input)), args.output)
     return 0
 
 

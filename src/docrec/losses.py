@@ -152,7 +152,8 @@ def matching_cost(
 
     One (targets, preds) array computation, bit-identical to
     ``-log(max(p, LOG_EPS)) + (1 - iou(pred.box, target.box))`` per pair: the
-    IoU takes ``iou``'s operations in ``iou``'s order, and every cell whose
+    IoU takes ``iou``'s operations in ``iou``'s order (a zero union gives 1.0
+    where the four coordinates are equal), and every cell whose
     union is not finite (an overflowed area, a NaN or inf coordinate) is
     computed by ``iou`` itself, which measures such boxes exactly.
     """
@@ -172,7 +173,8 @@ def matching_cost(
         pred_area = np.maximum(px1 - px0, 0.0) * np.maximum(py1 - py0, 0.0)
         target_area = np.maximum(tx1 - tx0, 0.0) * np.maximum(ty1 - ty0, 0.0)
         union = pred_area + target_area - inter
-        overlap = np.divide(inter, union, out=np.zeros((k, n)), where=union > 0)
+        same = (px0 == tx0) & (py0 == ty0) & (px1 == tx1) & (py1 == ty1)
+        overlap = np.divide(inter, union, out=same.astype(float), where=union > 0)
     for r, c in zip(*np.nonzero(~np.isfinite(union))):
         overlap[r, c] = iou(preds[c].box, targets[r].box)
     # math.log, not np.log: the two may differ in the last bit.

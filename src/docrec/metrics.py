@@ -21,19 +21,21 @@ from .model import BoundingBox, Document, Element, exact_boxes
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 when the union has zero area. A union floats
-    cannot hold is measured on ``exact_boxes`` copies: the true ratio, rounded once."""
+    """Intersection over union. A zero union (only boxes of zero area have one)
+    is 1.0 for equal boxes and 0.0 otherwise, so a box's IoU with itself is 1.
+    A union floats cannot hold is measured on ``exact_boxes`` copies: the true
+    ratio, rounded once."""
     try:
         inter = a.intersection_area(b)
         union = a.area + b.area - inter
         if math.isfinite(union):
-            return inter / union if union > 0 else 0.0
+            return inter / union if union > 0 else float(a == b)
     except OverflowError:  # an int beyond the float range
         pass
     a, b = exact_boxes((a, b))
     inter = a.intersection_area(b)
     union = a.area + b.area - inter
-    return float(inter / union) if union > 0 else 0.0
+    return float(inter / union) if union > 0 else float(a == b)
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -86,10 +88,6 @@ def _normalized_edit_distance(a: str, b: str) -> float:
     if not a and not b:
         return 0.0
     return edit_distance(a, b) / max(len(a), len(b))
-
-
-class EmptyDocumentError(ValueError):
-    """Raised by document_distance when either document has no elements."""
 
 
 def _accumulate(cost: list[list[float]]) -> list[list[float]]:
@@ -149,7 +147,8 @@ def document_distance(gt: Document, pred: Document) -> float:
     cost, which is the edit distance between their ``element_text`` strings
     over the longer one's length, or 0 when both are empty. The recurrence
     charges the cell cost on every move, including skips (DTW-style), with
-    first row/column accumulating along the edge.
+    first row/column accumulating along the edge. Against an empty page each
+    element costs 1, so the distance is the other page's element count.
 
     The result is that of the DP over every cell's exact cost, bit for bit,
     but most cells never run an edit distance (lazy path evaluation, after
@@ -166,7 +165,7 @@ def document_distance(gt: Document, pred: Document) -> float:
     k = len(gt.elements)
     kt = len(pred.elements)
     if k == 0 or kt == 0:
-        raise EmptyDocumentError("document_distance requires non-empty documents")
+        return float(max(k, kt))
     gt_texts = [element_text(g) for g in gt.elements]
     pred_texts = [element_text(p) for p in pred.elements]
     loc = [[location_cost(g, p) for p in pred.elements] for g in gt.elements]
@@ -212,20 +211,12 @@ class EvalReport:
 def document_score(gt: Document, pred: Document) -> DocumentScore:
     """Distance and normalized distance for one aligned pair.
 
-    Empty-vs-empty scores 0; empty-vs-nonempty charges full cost for every
-    element of the nonempty side (normalized term 1), keeping the corpus
-    metric bounded and monotone.
+    The distance is ``document_distance`` over the larger element count, so
+    an empty page scores 1 against a non-empty one, and two empty pages 0.
     """
-    k = len(gt.elements)
-    kt = len(pred.elements)
-    if k == 0 and kt == 0:
-        return DocumentScore(0.0, 0, 0.0)
-    if k == 0 or kt == 0:
-        n = max(k, kt)
-        return DocumentScore(float(n), n, 1.0)
     d = document_distance(gt, pred)
-    n = max(k, kt)
-    return DocumentScore(d, n, d / n)
+    n = max(len(gt.elements), len(pred.elements))
+    return DocumentScore(d, n, d / n if n else 0.0)
 
 
 def dsm(gt_corpus: Sequence[Document], pred_corpus: Sequence[Document]) -> EvalReport:

@@ -301,32 +301,19 @@ def _require_number(value: Any, where: str) -> float:
     return number
 
 
-def _require_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
+#: The noun each plain JSON type goes by in a decoding error.
+_NOUNS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
 
 
-def _require_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _require_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list, got {value!r}")
-    return value
-
-
-def _require_dict(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected an object, got {value!r}")
+def _require(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it is a ``kind`` (a bool is no integer), else ValueError naming ``where``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{where}: expected {_NOUNS[kind]}, got {value!r}")
     return value
 
 
 def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
-    items = _require_list(value, where)
+    items = _require(value, list, where)
     if len(items) != 4:
         raise ValueError(f"{where}: expected 4 coordinates, got {len(items)}")
     coords = [_require_number(v, f"{where}[{i}]") for i, v in enumerate(items)]
@@ -336,41 +323,41 @@ def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
 def text_lines_from_value(value: Any, where: str = "lines") -> tuple[TextLine, ...]:
     """Decode a JSON list of ``{bbox, text}`` line objects; ``text`` defaults to ""."""
     lines = []
-    for j, item in enumerate(_require_list(value, where)):
+    for j, item in enumerate(_require(value, list, where)):
         sub = f"{where}[{j}]"
-        item = _require_dict(item, sub)
+        item = _require(item, dict, sub)
         lines.append(
             TextLine(
                 bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
-                text=_require_str(item.get("text", ""), f"{sub}.text"),
+                text=_require(item.get("text", ""), str, f"{sub}.text"),
             )
         )
     return tuple(lines)
 
 
 def _content_from_dict(category: Category, data: Any, where: str) -> Transcription:
-    data = _require_dict(data, where)
+    data = _require(data, dict, where)
     if category is Category.PARAGRAPH:
         return ParagraphContent(text_lines_from_value(data.get("lines", []), f"{where}.lines"))
     if category is Category.TABLE:
         rows = []
-        for r, row in enumerate(_require_list(data.get("rows", []), f"{where}.rows")):
+        for r, row in enumerate(_require(data.get("rows", []), list, f"{where}.rows")):
             cells = []
-            for c, item in enumerate(_require_list(row, f"{where}.rows[{r}]")):
-                item = _require_dict(item, f"{where}.rows[{r}][{c}]")
+            for c, item in enumerate(_require(row, list, f"{where}.rows[{r}]")):
                 sub = f"{where}.rows[{r}][{c}]"
+                item = _require(item, dict, sub)
                 cells.append(
                     TableCell(
                         bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
-                        rowspan=_require_int(item.get("rowspan", 1), f"{sub}.rowspan"),
-                        colspan=_require_int(item.get("colspan", 1), f"{sub}.colspan"),
-                        text=_require_str(item.get("text", ""), f"{sub}.text"),
+                        rowspan=_require(item.get("rowspan", 1), int, f"{sub}.rowspan"),
+                        colspan=_require(item.get("colspan", 1), int, f"{sub}.colspan"),
+                        text=_require(item.get("text", ""), str, f"{sub}.text"),
                     )
                 )
             rows.append(tuple(cells))
         return TableContent(tuple(rows))
     if category is Category.FORMULA:
-        return FormulaContent(latex=_require_str(data.get("latex", ""), f"{where}.latex"))
+        return FormulaContent(latex=_require(data.get("latex", ""), str, f"{where}.latex"))
     return FigureContent()
 
 
@@ -384,16 +371,16 @@ def document_from_dict(data: Any, where: str = "document") -> Document:
     Raises ValueError with a field path on any structural problem; unknown
     top-level keys (e.g. an alignment ``id``) are ignored.
     """
-    data = _require_dict(data, where)
+    data = _require(data, dict, where)
     if "page_width" not in data or "page_height" not in data:
         raise ValueError(f"{where}: missing page_width/page_height")
     width = _require_number(data["page_width"], f"{where}.page_width")
     height = _require_number(data["page_height"], f"{where}.page_height")
     elements = []
-    for i, item in enumerate(_require_list(data.get("elements", []), f"{where}.elements")):
-        item = _require_dict(item, f"{where}.elements[{i}]")
+    for i, item in enumerate(_require(data.get("elements", []), list, f"{where}.elements")):
         sub = f"{where}.elements[{i}]"
-        name = _require_str(item.get("category"), f"{sub}.category")
+        item = _require(item, dict, sub)
+        name = _require(item.get("category"), str, f"{sub}.category")
         try:
             category = Category(name)
         except ValueError:

@@ -204,6 +204,14 @@ class _Cursor:
     def fail(self, kind: ParseErrorKind, message: str):
         raise ParseError(kind, self.pos, message)
 
+    def close(self, tag: str, kind: ParseErrorKind, unterminated_message: str) -> None:
+        """Step past ``tag``; fail as unterminated at the end of the sequence, as ``kind`` on any other token."""
+        if self.at_end():
+            self.fail(ParseErrorKind.UNTERMINATED_ELEMENT, unterminated_message)
+        if self.tag() != tag:
+            self.fail(kind, f"expected {tag}, got {self.got()}")
+        self.pos += 1
+
     def read_quartet(self) -> BoundingBox:
         """Four coordinate tokens, read as Xmin, Ymin, Xmax, Ymax in that order."""
         tokens, bins = self.tokens, self.bins
@@ -276,14 +284,7 @@ def _parse_table(cur: _Cursor) -> TableContent:
             cur.pos += 1
             bbox = cur.read_quartet()
             text = cur.read_text_run()
-            if cur.at_end():
-                cur.fail(ParseErrorKind.UNTERMINATED_ELEMENT, "table cell never closed")
-            if cur.tag() != "</td>":
-                cur.fail(
-                    ParseErrorKind.MALFORMED_TABLE_TAGS,
-                    f"expected </td>, got {cur.got()}",
-                )
-            cur.pos += 1
+            cur.close("</td>", ParseErrorKind.MALFORMED_TABLE_TAGS, "table cell never closed")
             cells.append(TableCell(bbox=bbox, rowspan=rowspan, colspan=colspan, text=text))
         rows.append(tuple(cells))
     return TableContent(tuple(rows))
@@ -323,14 +324,7 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
             content = FormulaContent(cur.read_text_run())
         else:
             content = FigureContent()
-        if cur.at_end():
-            cur.fail(ParseErrorKind.UNTERMINATED_ELEMENT, "element missing <Sep>")
-        if cur.tag() != "<Sep>":
-            cur.fail(
-                ParseErrorKind.UNEXPECTED_TOKEN,
-                f"expected <Sep>, got {cur.got()}",
-            )
-        cur.pos += 1
+        cur.close("<Sep>", ParseErrorKind.UNEXPECTED_TOKEN, "element missing <Sep>")
         elements.append(Element(category=category, bbox=bbox, content=content))
     return Document(
         page_width=page_width, page_height=page_height, elements=tuple(elements)

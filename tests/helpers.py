@@ -35,8 +35,9 @@ def random_text(rng: random.Random, max_words: int = 4, tricky: bool = False) ->
 def random_box_within(
     rng: random.Random, x0: float, y0: float, x1: float, y1: float
 ) -> BoundingBox:
-    """Random box with positive extent (zero-area boxes are valid but score
-    IoU 0 even against themselves, which no real layout element should)."""
+    """Random box with an extent of at least 0.5 on each axis where the region
+    allows it, as a real layout element has; a zero-area box is valid too,
+    with IoU 1 against itself and 0 against any other box."""
     min_extent = 0.5
 
     def span(lo: float, hi: float) -> tuple[float, float]:

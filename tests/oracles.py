@@ -39,14 +39,16 @@ def naive_edit_distance(a: str, b: str) -> int:
 
 
 def oracle_iou(a, b) -> float:
-    """IoU by its formula; int zeros keep int boxes in exact integer arithmetic."""
+    """IoU by its formula; int zeros keep int boxes in exact integer arithmetic.
+
+    A zero union is 1.0 for equal boxes and 0.0 otherwise."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     inter = ix * iy if ix > 0 and iy > 0 else 0
     area_a = max(a.x_max - a.x_min, 0) * max(a.y_max - a.y_min, 0)
     area_b = max(b.x_max - b.x_min, 0) * max(b.y_max - b.y_min, 0)
     union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
+    return inter / union if union > 0 else float(a == b)
 
 
 def oracle_element_text(el: Element) -> str:

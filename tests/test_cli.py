@@ -372,6 +372,20 @@ def test_gtgen_malformed_input(tmp_path, capsys, change, field):
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (5, ".lines: expected a list, got 5"),
+        (["x"], ".lines[0]: expected an object, got 'x'"),
+    ],
+)
+def test_gtgen_lines_messages_are_pinned(tmp_path, capsys, lines, message):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({**_GTGEN_PAGE, "lines": lines}) + "\n", encoding="utf-8")
+    assert main(["gtgen", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:1{message}\n"
+
+
 _PAGE = json.dumps(
     {
         "page_width": 100.0,
@@ -428,6 +442,18 @@ def test_eval_page_with_overflowing_areas(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
     assert main(["eval", "--gt", str(path), "--pred", str(path), "--metric", "dsm"]) == 0
+    assert json.loads(capsys.readouterr().out)["dsm"] == 1.0
+
+
+def test_eval_zero_area_page_against_itself_scores_1(tmp_path, capsys):
+    # A box of zero area is valid; its IoU with itself is 1, as for any box.
+    page = {"page_width": 100, "page_height": 100,
+            "elements": [{"category": "Figure", "bbox": [10, 10, 10, 20]}]}
+    path = tmp_path / "page.jsonl"
+    path.write_text(json.dumps(page) + "\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(path), "--pred", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["dsm"] == 1.0
 
 

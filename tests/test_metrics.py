@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from docrec import convert, metrics
 from docrec.metrics import (
-    EmptyDocumentError,
     document_distance,
     document_score,
     dsm,
@@ -56,7 +55,9 @@ def test_iou_examples():
 
 def test_iou_degenerate():
     point = BoundingBox(5, 5, 5, 5)
-    assert iou(point, point) == 0.0
+    assert iou(point, point) == 1.0
+    # Unequal boxes of zero area have a zero union and no overlap.
+    assert iou(point, BoundingBox(5, 5, 5, 6)) == 0.0
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -69,8 +70,7 @@ _BOXES = st.builds(BoundingBox, _FINITE, _FINITE, _FINITE, _FINITE)
 def test_iou_bounded_on_finite_boxes(a, b):
     # Areas of finite boxes can overflow to inf, and inf - inf is NaN.
     assert 0 <= iou(a, b) <= 1
-    if a.area > 0:
-        assert iou(a, a) == 1.0
+    assert iou(a, a) == 1.0
 
 
 _ANY = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
@@ -326,12 +326,11 @@ def test_document_distance_bounds_its_rounds(monkeypatch):
     assert len(rounds) <= 16
 
 
-def test_document_distance_empty_raises():
-    doc = _doc(_fig(BoundingBox(0, 0, 10, 10)))
-    with pytest.raises(EmptyDocumentError):
-        document_distance(doc, _doc())
-    with pytest.raises(EmptyDocumentError):
-        document_distance(_doc(), doc)
+def test_document_distance_charges_each_element_against_an_empty_page():
+    doc = _doc(_fig(BoundingBox(0, 0, 10, 10)), _fig(BoundingBox(0, 20, 10, 30)))
+    assert document_distance(doc, _doc()) == 2.0
+    assert document_distance(_doc(), doc) == 2.0
+    assert document_distance(_doc(), _doc()) == 0.0
 
 
 def test_document_score_empty_policy():

@@ -334,6 +334,64 @@ def test_from_dict_rejects_malformed(payload):
         document_from_dict(payload)
 
 
+def _page_with(element=None, **top):
+    """A one-element page with ``element``'s keys (or the page's ``top`` keys) replaced."""
+    el = {"category": "Figure", "bbox": [0, 0, 1, 1], "content": {}, **(element or {})}
+    return {"page_width": 10, "page_height": 10, "elements": [el], **top}
+
+
+def _para(**line):
+    return {"category": "Paragraph", "content": {"lines": [{"bbox": [0, 0, 1, 1], "text": "", **line}]}}
+
+
+def _cell(**cell):
+    return {"category": "Table", "content": {"rows": [[{"bbox": [0, 0, 1, 1], **cell}]]}}
+
+
+_E = "p:1.elements[0]"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (42, "p:1: expected an object, got 42"),
+        ({"page_width": 10}, "p:1: missing page_width/page_height"),
+        (_page_with(page_width="10"), "p:1.page_width: expected a number, got '10'"),
+        (_page_with(page_height=True), "p:1.page_height: expected a number, got True"),
+        (_page_with(elements={}), "p:1.elements: expected a list, got {}"),
+        (_page_with(elements=[5]), f"{_E}: expected an object, got 5"),
+        (_page_with({"category": 7}), f"{_E}.category: expected a string, got 7"),
+        (_page_with({"category": None}), f"{_E}.category: expected a string, got None"),
+        (_page_with({"category": "Chart"}), f"{_E}.category: unknown category 'Chart'"),
+        (_page_with({"bbox": "x"}), f"{_E}.bbox: expected a list, got 'x'"),
+        (_page_with({"bbox": [0, 0, 1]}), f"{_E}.bbox: expected 4 coordinates, got 3"),
+        (_page_with({"bbox": [0, 0, 1, "x"]}), f"{_E}.bbox[3]: expected a number, got 'x'"),
+        (_page_with({"content": []}), f"{_E}.content: expected an object, got []"),
+        (_page_with({"category": "Paragraph", "content": {"lines": 5}}),
+         f"{_E}.content.lines: expected a list, got 5"),
+        (_page_with({"category": "Paragraph", "content": {"lines": ["x"]}}),
+         f"{_E}.content.lines[0]: expected an object, got 'x'"),
+        (_page_with(_para(bbox=None)), f"{_E}.content.lines[0].bbox: expected a list, got None"),
+        (_page_with(_para(text=7)), f"{_E}.content.lines[0].text: expected a string, got 7"),
+        (_page_with({"category": "Table", "content": {"rows": {}}}),
+         f"{_E}.content.rows: expected a list, got {{}}"),
+        (_page_with({"category": "Table", "content": {"rows": [{}]}}),
+         f"{_E}.content.rows[0]: expected a list, got {{}}"),
+        (_page_with({"category": "Table", "content": {"rows": [[[]]]}}),
+         f"{_E}.content.rows[0][0]: expected an object, got []"),
+        (_page_with(_cell(rowspan=True)), f"{_E}.content.rows[0][0].rowspan: expected an integer, got True"),
+        (_page_with(_cell(colspan=1.5)), f"{_E}.content.rows[0][0].colspan: expected an integer, got 1.5"),
+        (_page_with(_cell(text=None)), f"{_E}.content.rows[0][0].text: expected a string, got None"),
+        (_page_with({"category": "Formula", "content": {"latex": 3}}),
+         f"{_E}.content.latex: expected a string, got 3"),
+    ],
+)
+def test_from_dict_messages_are_pinned(payload, message):
+    with pytest.raises(ValueError) as err:
+        document_from_dict(payload, where="p:1")
+    assert str(err.value) == message
+
+
 def test_from_dict_ignores_extra_keys():
     doc = document_from_dict(
         {"id": "a", "page_width": 10, "page_height": 10, "elements": []}

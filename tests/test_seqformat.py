@@ -217,6 +217,27 @@ def test_parse_table_ending_inside_a_row(close, message):
     assert message in str(err.value)
 
 
+_CELL = ("<Table>", 0, 0, 1, 1, "<tr>", "<td>", 0, 0, 1, 1, "x")
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (_CELL, "UnterminatedElement at token 12: table cell never closed"),
+        ((*_CELL, "</tr>"), "MalformedTableTags at token 12: expected </td>, got '</tr>'"),
+        ((*_CELL, "</td>"), "UnterminatedElement at token 13: table row never closed"),
+        (("<Figure>", 0, 0, 1, 1), "UnterminatedElement at token 5: element missing <Sep>"),
+        (("<Formula>", 0, 0, 1, 1, "x", 3), "UnexpectedToken at token 6: expected <Sep>, got 3"),
+        (("<Table>", 0, 0, 1, 1, "<tr>", "</tr>", "</td>"),
+         "MalformedTableTags at token 7: expected <tr> or <Sep>, got '</td>'"),
+    ],
+)
+def test_parse_closing_tag_messages_are_pinned(tokens, message):
+    with pytest.raises(ParseError) as err:
+        parse(TokenSequence(tokens, bins=10), 100, 100)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("width, height", [(math.nan, 100), (100, math.inf), (-math.inf, 100), (0, 100)])
 def test_parse_rejects_a_page_size_that_is_not_positive_and_finite(width, height):
     # No coordinate token: only the page-size check can see the bad size.
