@@ -1,7 +1,7 @@
 """Document reconstruction toolkit.
 
-Core pieces: a document model with coordinate quantization (`model`), the
-flat token sequence format (`seqformat`), similarity metrics (`metrics`),
+Core pieces: a document model (`model`), the flat token sequence format
+with its coordinate grid (`seqformat`), similarity metrics (`metrics`),
 reading-order detection (`readorder`), ground-truth assembly (`gtgen`),
 set-prediction losses (`losses`), format converters (`convert`), and a CLI
 (`cli`). Each name is imported from the module that defines it, as in

@@ -34,8 +34,8 @@ from .model import (
     to_json_value,
     validate_document,
 )
+from .seqformat import check_grid, scan_tokens
 from .seqformat import parse as parse_tokens
-from .seqformat import scan_tokens
 
 def _round_floats(value: Any) -> Any:
     """Fix every float in a JSON-ready payload at 4 decimals for stable diffs."""
@@ -224,6 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="accepted and checked (>= 1) but has no effect: the work runs on one thread",
     )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+    ordering = argparse.ArgumentParser(add_help=False)
+    ordering.add_argument("--min-gap", type=float, default=5.0)
+    ordering.add_argument("--y-tolerance", type=float, default=10.0)
 
     p_validate = sub.add_parser("validate", help="check documents against the model invariants")
     p_validate.add_argument("input", help="document JSONL path, or - for stdin")
@@ -240,26 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--key", help="align corpora by this top-level field instead of line order")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_convert = sub.add_parser("convert", parents=[jobs], help="export documents to a per-task format")
+    p_convert = sub.add_parser("convert", parents=[jobs, output], help="export documents to a per-task format")
     p_convert.add_argument("input", help="document JSONL path, or - for stdin")
     p_convert.add_argument("--target", choices=_TARGETS, required=True)
-    p_convert.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p_convert.set_defaults(func=functools.partial(_per_document, _convert))
 
-    p_order = sub.add_parser("order", parents=[jobs], help="rewrite documents with elements in reading order")
+    p_order = sub.add_parser("order", parents=[jobs, output, ordering],
+                             help="rewrite documents with elements in reading order")
     p_order.add_argument("input", help="document JSONL path, or - for stdin")
-    p_order.add_argument("--output", "-o", default=None)
-    p_order.add_argument("--min-gap", type=float, default=5.0)
-    p_order.add_argument("--y-tolerance", type=float, default=10.0)
     p_order.set_defaults(func=functools.partial(_per_document, _order))
 
-    p_gtgen = sub.add_parser(
-        "gtgen", parents=[jobs], help="assemble documents from layout elements plus raw text lines"
-    )
+    p_gtgen = sub.add_parser("gtgen", parents=[jobs, output, ordering],
+                             help="assemble documents from layout elements plus raw text lines")
     p_gtgen.add_argument("input", help="JSONL of {page_width, page_height, elements, lines}")
-    p_gtgen.add_argument("--output", "-o", default=None)
-    p_gtgen.add_argument("--min-gap", type=float, default=5.0)
-    p_gtgen.add_argument("--y-tolerance", type=float, default=10.0)
     p_gtgen.add_argument("--iou-threshold", type=float, default=0.5,
                          help="least score for an element to claim a line; the score is the share "
                          "of the line's area the element covers, in (0, 1]")
@@ -286,8 +284,8 @@ def _build_options(args: argparse.Namespace) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} applies only to --format tokens")
     if "jobs" in args and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if "bins" in args and args.bins < 2:
-        raise ValueError(f"--bins must be >= 2, got {args.bins}")
+    if "bins" in args:
+        check_grid(args.bins)
     for flag in ("page_width", "page_height"):
         value = getattr(args, flag, 1.0)
         if not 0 < value < math.inf:

@@ -35,9 +35,10 @@ class AssocConfig:
 
 
 def _as_is(box: BoundingBox, kind: type) -> bool:
-    """Whether ``box`` measures as given: every coordinate a ``kind``, a float area finite."""
+    """Whether ``box`` measures as given: every coordinate a ``kind``; for floats, each and the area finite."""
+    coords = (box.x_min, box.y_min, box.x_max, box.y_max)
     same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
-    return same and (kind is int or math.isfinite(box.area))
+    return same and (kind is int or (all(map(math.isfinite, coords)) and math.isfinite(box.area)))
 
 
 def associate_lines(
@@ -52,7 +53,8 @@ def associate_lines(
     stay unassigned (None); ties prefer the smaller element, then the lower
     index.
 
-    All-int boxes, and all-float boxes with finite areas, measure as given.
+    All-int boxes, and all-float boxes with finite coordinates and areas,
+    measure as given.
     Any other call measures on ``exact_boxes`` copies of every box, which
     also names a box with a NaN or infinite coordinate.
 

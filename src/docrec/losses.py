@@ -4,7 +4,8 @@ Everything here operates on probability/score arrays so the loss formulas
 can be verified at desk scale: an optimal bipartite assignment between
 targets and predictions, a discrimination loss over class/coordinate
 tokens, a teacher-forced transcription loss, and a cosine loss over whole
-masked token sequences. No autodiff, no network.
+masked token sequences. No autodiff, no network. This is the one module that
+needs numpy and scipy, the ``losses`` extra (``pip install docrec[losses]``).
 """
 
 from __future__ import annotations
@@ -134,12 +135,13 @@ _NAN_BOX = (math.nan,) * 4
 
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """(m, 4) array of x_min, y_min, x_max, y_max. A box with a coordinate
-    that is not a Python float (an int computes exactly in ``iou``, a float32
-    rounds to float32) enters as NaN, so its cells take the per-pair path."""
+    that is not a finite Python float (an int computes exactly in ``iou``, a
+    float32 rounds to float32, and ``iou`` names a NaN or infinity) enters as
+    NaN, so its cells take the per-pair path."""
     return np.array(
         [
-            (x0, y0, x1, y1) if type(x0) is type(y0) is type(x1) is type(y1) is float else _NAN_BOX
-            for x0, y0, x1, y1 in ((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
+            coords if all(type(v) is float and math.isfinite(v) for v in coords) else _NAN_BOX
+            for coords in ((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
         ],
         dtype=float,
     )
@@ -153,9 +155,10 @@ def matching_cost(
     One (targets, preds) array computation, bit-identical to
     ``-log(max(p, LOG_EPS)) + (1 - iou(pred.box, target.box))`` per pair: the
     IoU takes ``iou``'s operations in ``iou``'s order (a zero union gives 1.0
-    where the four coordinates are equal), and every cell whose
-    union is not finite (an overflowed area, a NaN or inf coordinate) is
-    computed by ``iou`` itself, which measures such boxes exactly.
+    where the four coordinates are equal), and every cell whose union is not
+    finite (an overflowed area, or a box ``_box_array`` enters as NaN) is
+    computed by ``iou`` itself, which measures such boxes exactly and raises
+    ValueError on a NaN or infinite coordinate.
     """
     k, n = len(targets), len(preds)
     if k == 0 or n == 0:
@@ -163,9 +166,9 @@ def matching_cost(
     # Targets run down the rows, predictions along the columns.
     tx0, ty0, tx1, ty1 = _box_array([target.box for target in targets]).T[:, :, None]
     px0, py0, px1, py1 = _box_array([pred.box for pred in preds]).T
-    # numpy's min/max and ``&`` can part from Python's only on a NaN (a NaN
-    # coordinate or inf - inf); that makes some box's area NaN, so the union
-    # is NaN too and the cell goes to ``iou`` below.
+    # ``_box_array`` passes only finite floats, so numpy's min/max and ``&``
+    # agree with Python's; an area that overflows makes the union inf or NaN,
+    # and the cell goes to ``iou`` below.
     with np.errstate(all="ignore"):
         w = np.minimum(px1, tx1) - np.maximum(px0, tx0)
         h = np.minimum(py1, ty1) - np.maximum(py0, ty0)

@@ -24,12 +24,16 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union. A zero union (only boxes of zero area have one)
     is 1.0 for equal boxes and 0.0 otherwise, so a box's IoU with itself is 1.
     A union floats cannot hold is measured on ``exact_boxes`` copies: the true
-    ratio, rounded once."""
+    ratio, rounded once. A NaN or infinite coordinate raises ValueError naming
+    its box, whatever the union."""
     try:
-        inter = a.intersection_area(b)
-        union = a.area + b.area - inter
-        if math.isfinite(union):
-            return inter / union if union > 0 else float(a == b)
+        # 0.0 * v is 0.0 for a finite v and NaN for an infinity or a NaN.
+        if (0.0 * a.x_min + 0.0 * a.y_min + 0.0 * a.x_max + 0.0 * a.y_max
+                + 0.0 * b.x_min + 0.0 * b.y_min + 0.0 * b.x_max + 0.0 * b.y_max == 0.0):
+            inter = a.intersection_area(b)
+            union = a.area + b.area - inter
+            if math.isfinite(union):
+                return inter / union if union > 0 else float(a == b)
     except OverflowError:  # an int beyond the float range
         pass
     a, b = exact_boxes((a, b))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from typing import Any, Sequence
 
-#: Default number of coordinate quantization bins per axis. Coordinates are
-#: normalized by the page dimension, so the grid is resolution-independent.
+#: Default number of coordinate bins per axis of ``seqformat``'s grid. Coordinates
+#: are normalized by the page dimension, so the grid is resolution-independent.
 DEFAULT_BINS = 1000
 
 #: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
@@ -163,33 +163,6 @@ class DocumentValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid document: " + "; ".join(violations))
         self.violations = list(violations)
-
-
-def check_grid(extent: float, bins: int) -> None:
-    """Raise ValueError unless ``bins`` is an exact int >= 2 and ``extent`` positive and finite."""
-    if type(bins) is not int or bins < 2:
-        raise ValueError(f"bins must be an int >= 2, got {bins!r}")
-    if not 0 < extent < math.inf:
-        raise ValueError(f"extent must be positive and finite, got {extent}")
-
-
-def quantize_coord(v: float, extent: float, bins: int = DEFAULT_BINS) -> int:
-    """Map a real coordinate in [0, extent] to a bin index in [0, bins-1].
-
-    The top edge (v == extent) clamps into the last bin.
-    """
-    check_grid(extent, bins)
-    if math.isnan(v) or v < 0 or v > extent:
-        raise ValueError(f"coordinate {v} outside [0, {extent}]")
-    return min(math.floor(v / extent * bins), bins - 1)
-
-
-def dequantize_coord(bin_index: int, extent: float, bins: int = DEFAULT_BINS) -> float:
-    """Map a bin index back to its bin-center coordinate."""
-    check_grid(extent, bins)
-    if not 0 <= bin_index < bins:
-        raise ValueError(f"bin {bin_index} outside [0, {bins})")
-    return (bin_index + 0.5) / bins * extent
 
 
 # Substrings that would collide with the serialized token text format.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,9 +46,6 @@ from .model import (
     TableCell,
     TableContent,
     TextLine,
-    check_grid,
-    dequantize_coord,
-    quantize_coord,
     validate_document,
 )
 
@@ -120,25 +118,32 @@ class ScanError(ValueError):
         self.offset = offset
 
 
+def check_grid(bins: int) -> None:
+    """The one rule for the grid's bins per axis: ValueError unless an exact int >= 2 that a float holds."""
+    if type(bins) is not int or not 2 <= bins <= sys.float_info.max:
+        raise ValueError(f"bins must be an int >= 2 within the float range, got {bins!r}")
+
+
 def serialize(doc: Document, bins: int = DEFAULT_BINS) -> TokenSequence:
     """Encode a valid document as a token sequence.
 
-    Raises DocumentValidationError listing violations when the document
-    breaks any model invariant, and ValueError when ``bins`` is not an int
-    >= 2, which ``parse`` would refuse.
+    A coordinate ``v`` on an axis of extent ``e`` becomes bin
+    ``min(floor(v / e * bins), bins - 1)``: the top edge clamps into the last
+    bin. Raises DocumentValidationError listing violations when the document
+    breaks any model invariant (a coordinate outside the page among them),
+    and ValueError when ``bins`` fails ``check_grid``, as ``parse`` would.
     """
     violations = validate_document(doc)
     if violations:
         raise DocumentValidationError(violations)
+    check_grid(bins)
     w, h = doc.page_width, doc.page_height
-    check_grid(w, bins)
+    last = bins - 1
     tokens: list[Token] = []
 
-    def emit_quartet(bbox: BoundingBox) -> None:
-        tokens.append(quantize_coord(bbox.x_min, w, bins))
-        tokens.append(quantize_coord(bbox.y_min, h, bins))
-        tokens.append(quantize_coord(bbox.x_max, w, bins))
-        tokens.append(quantize_coord(bbox.y_max, h, bins))
+    def emit_quartet(b: BoundingBox) -> None:
+        tokens.extend((min(math.floor(b.x_min / w * bins), last), min(math.floor(b.y_min / h * bins), last),
+                       min(math.floor(b.x_max / w * bins), last), min(math.floor(b.y_max / h * bins), last)))
 
     for el in doc.elements:
         tokens.append(f"<{el.category.value}>")
@@ -176,8 +181,7 @@ class _Cursor:
     def __init__(self, seq: TokenSequence, page_width: float, page_height: float):
         self.tokens = seq.tokens
         self.bins = seq.bins
-        self.w = page_width
-        self.h = page_height
+        self.extents = (page_width, page_height) * 2  # the extent of each of AXES
         self.pos = 0
 
     def at_end(self) -> bool:
@@ -213,10 +217,10 @@ class _Cursor:
         self.pos += 1
 
     def read_quartet(self) -> BoundingBox:
-        """Four coordinate tokens, read as Xmin, Ymin, Xmax, Ymax in that order."""
+        """Four coordinate tokens, read as Xmin, Ymin, Xmax, Ymax in that order, each bin as its centre."""
         tokens, bins = self.tokens, self.bins
         values = []
-        for axis in AXES:
+        for axis, extent in zip(AXES, self.extents):
             if self.at_end() or type(tokens[self.pos]) is not int:
                 self.fail(
                     ParseErrorKind.TRUNCATED_COORD_QUARTET,
@@ -227,14 +231,9 @@ class _Cursor:
                     ParseErrorKind.COORD_OUT_OF_RANGE,
                     f"bin {self.got()} outside [0, {bins})",
                 )
-            values.append(tokens[self.pos])
+            values.append((tokens[self.pos] + 0.5) / bins * extent)
             self.pos += 1
-        return BoundingBox(
-            dequantize_coord(values[0], self.w, bins),
-            dequantize_coord(values[1], self.h, bins),
-            dequantize_coord(values[2], self.w, bins),
-            dequantize_coord(values[3], self.h, bins),
-        )
+        return BoundingBox(*values)
 
     def read_text_run(self) -> str:
         tokens = self.tokens
@@ -293,18 +292,19 @@ def _parse_table(cur: _Cursor) -> TableContent:
 def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document:
     """Decode a token sequence back into a document.
 
-    Coordinates come back as bin centers. Every malformed input raises one
-    ParseError carrying the offset of the first violation; grammatically
-    valid sequences whose dequantized geometry breaks model invariants still
-    parse (validate_document reports those). A grid size that is not an int
-    >= 2, or a page size that is not positive and finite, raises ValueError
-    before any token is read.
+    A bin ``b`` comes back as its centre, ``(b + 0.5) / bins * extent``.
+    Every malformed input raises one ParseError carrying the offset of the
+    first violation, a bin outside ``[0, bins)`` among them; grammatically
+    valid sequences whose decoded geometry breaks model invariants still
+    parse (validate_document reports those). A page size that is not
+    positive and finite, or a ``seq.bins`` that fails ``check_grid``, raises
+    ValueError before any token is read.
     """
     if not (0 < page_width < math.inf and 0 < page_height < math.inf):
         raise ValueError(
             f"page dimensions must be positive and finite, got {page_width}x{page_height}"
         )
-    check_grid(page_width, seq.bins)
+    check_grid(seq.bins)
     cur = _Cursor(seq, page_width, page_height)
     elements: list[Element] = []
     while not cur.at_end():

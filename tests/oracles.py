@@ -41,7 +41,10 @@ def naive_edit_distance(a: str, b: str) -> int:
 def oracle_iou(a, b) -> float:
     """IoU by its formula; int zeros keep int boxes in exact integer arithmetic.
 
-    A zero union is 1.0 for equal boxes and 0.0 otherwise."""
+    A zero union is 1.0 for equal boxes and 0.0 otherwise. A NaN or infinite
+    coordinate raises the error production raises."""
+    _require_finite(a)
+    _require_finite(b)
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     inter = ix * iy if ix > 0 and iy > 0 else 0
@@ -201,26 +204,38 @@ def _area(box):
     return max(box.x_max - box.x_min, 0) * max(box.y_max - box.y_min, 0)
 
 
+def _coords(box):
+    return (box.x_min, box.y_min, box.x_max, box.y_max)
+
+
+def _is_finite(v) -> bool:
+    return not (v != v or v in (math.inf, -math.inf))
+
+
+def _require_finite(box):
+    """Raise the error production raises for a box with a NaN or infinite coordinate."""
+    if not all(map(_is_finite, _coords(box))):
+        raise ValueError(f"box {box} has a non-finite coordinate")
+
+
 def _as_is(box, kind) -> bool:
     same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
-    return same and (kind is int or math.isfinite(_area(box)))
+    return same and (kind is int or (all(map(_is_finite, _coords(box))) and math.isfinite(_area(box))))
 
 
 def _exact(box):
     """``box`` in Fractions; a NaN or infinity raises the error production raises."""
-    coords = (box.x_min, box.y_min, box.x_max, box.y_max)
-    if any(v != v or v in (math.inf, -math.inf) for v in coords):
-        raise ValueError(f"box {box} has a non-finite coordinate")
-    return BoundingBox(*(Fraction(v) for v in coords))
+    _require_finite(box)
+    return BoundingBox(*(Fraction(v) for v in _coords(box)))
 
 
 def oracle_associate_lines(elements, lines, cfg=None):
     """Every line measured against every element: the all-pairs loop.
 
-    A call whose boxes are neither all int nor all float with finite areas is
-    measured in Fractions. ``associate_lines`` skips the pairs that cannot
-    overlap and must return the same assignments, or raise the same
-    ``ValueError``.
+    A call whose boxes are neither all int nor all float with finite
+    coordinates and areas is measured in Fractions. ``associate_lines`` skips
+    the pairs that cannot overlap and must return the same assignments, or
+    raise the same ``ValueError``.
     """
     from docrec.gtgen import AssocConfig
 

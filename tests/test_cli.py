@@ -432,6 +432,14 @@ def test_bad_flag_values_exit_2_before_reading(tmp_path, capsys, argv, content):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bins", ["1", "1" + "0" * 400], ids=["1", "1e400"])
+def test_bins_flag_takes_the_grid_rule(tmp_path, capsys, bins):
+    # Checked by seqformat.check_grid, before the (missing) input is read; a grid
+    # beyond the float range would overflow where bins are computed.
+    assert main(["validate", str(tmp_path / "missing"), "--format", "tokens", "--bins", bins]) == 2
+    assert capsys.readouterr().err == f"error: bins must be an int >= 2 within the float range, got {bins}\n"
+
+
 def test_eval_page_with_overflowing_areas(tmp_path, capsys):
     # Finite coordinates whose box areas overflow to inf.
     page = json.loads(_PAGE)

@@ -201,9 +201,6 @@ def _grid_case(draw):
         lambda xs, ys: box(min(xs), min(ys), max(xs), max(ys)),
         st.tuples(coord, coord), st.tuples(coord, coord),
     ) | st.builds(box, coord, coord, coord, coord)
-    if kind is float:
-        # Area 0 with an infinite coordinate: measured unscaled.
-        grid_box |= st.sampled_from([box(5.0, 0.0, -math.inf, 10.0), box(0.0, math.inf, 3.0, 1.0)])
     return (
         draw(st.lists(grid_box, max_size=8)),
         draw(st.lists(grid_box, min_size=1, max_size=6)),
@@ -211,13 +208,11 @@ def _grid_case(draw):
     )
 
 
-# A line on a shared edge, a zero-area line, a line over three elements, tied
-# y_min, and an area-0 element with an infinite coordinate.
+# A line on a shared edge, a zero-area line, a line over three elements, and tied y_min.
 @example(case=([box(0, 0, 2, 2), box(2, 0, 4, 2)], [box(2, 0, 3, 1), box(1, 1, 1, 3)], 0.5))
 @example(case=([box(0.0, 0.0, 2.0, 2.0), box(2.0, 0.0, 5.0, 2.0), box(5.0, 0.0, 8.0, 2.0)],
                [box(1.0, 0.0, 8.0, 1.0)], 0.3))
 @example(case=([box(0, 0, 3, 3), box(1, 0, 2, 3)], [box(1, 0, 2, 1)], 1.0))
-@example(case=([box(5.0, 0.0, -math.inf, 10.0), box(0.0, 0.0, 5.0, 5.0)], [box(1.0, 1.0, 2.0, 2.0)], 0.01))
 @given(_grid_case())
 def test_associate_lines_matches_all_pairs_on_grid_boxes(case):
     elements, lines, threshold = case

@@ -314,8 +314,8 @@ def test_matching_cost_matches_per_pair_oracle(problem):
     try:
         expected = oracle_matching_cost(targets, preds)
     except ValueError:
-        # iou rejects a NaN or infinite coordinate once the union is not
-        # finite; the array form calls iou on that cell too.
+        # iou rejects a NaN or infinite coordinate; the array form sends
+        # every cell with such a box to iou.
         with pytest.raises(ValueError):
             matching_cost(targets, preds)
         return

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docrec import convert, metrics
+from docrec.gtgen import associate_lines
+from docrec.losses import NUM_CLASSES, ElementPrediction, ElementTarget, matching_cost
 from docrec.metrics import (
     document_distance,
     document_score,
@@ -125,6 +128,31 @@ def test_iou_bounded_or_value_error_on_int_and_float_boxes(a, b):
         assert _has_nan_or_inf(a) or _has_nan_or_inf(b)
         return
     assert 0 <= value <= 1
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("axis", range(4))
+def test_a_non_finite_box_raises_wherever_it_is_measured(axis, value):
+    # Also where the union stays finite, as for (0, 0, -inf, 5): an inverted box has area 0.
+    coords = [0.0, 0.0, 5.0, 5.0]
+    coords[axis] = value
+    bad, good = BoundingBox(*coords), BoundingBox(0.0, 0.0, 1.0, 1.0)
+
+    def page(box):
+        return Document(10.0, 10.0, (_fig(box),))
+
+    def cost(target_box, pred_box):
+        target = ElementTarget(Category.FIGURE, target_box, np.array([0]), np.array([1]))
+        return matching_cost([target], [ElementPrediction(np.full(NUM_CLASSES, 0.2), pred_box, np.full((1, 2), 0.5))])
+
+    def assign(element_box, line_box):
+        return associate_lines([(Category.PARAGRAPH, element_box)], [TextLine(line_box, "x")])
+
+    for call in (iou, cost, lambda a, b: document_distance(page(a), page(b)), assign):
+        for args in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError) as err:
+                call(*args)
+            assert f"box {bad} has a non-finite coordinate" in str(err.value)
 
 
 def test_iou_measures_an_int_beyond_the_float_range_next_to_floats():

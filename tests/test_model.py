@@ -15,6 +15,7 @@ from docrec.model import (
     BoundingBox,
     Category,
     Document,
+    DocumentValidationError,
     Element,
     FigureContent,
     FormulaContent,
@@ -22,62 +23,72 @@ from docrec.model import (
     TableCell,
     TableContent,
     TextLine,
-    dequantize_coord,
     document_from_dict,
     document_to_dict,
-    quantize_coord,
     validate_document,
 )
+from docrec.seqformat import ParseError, ParseErrorKind, TokenSequence, check_grid, parse, serialize
 from helpers import random_document
 
 
+# --- the coordinate grid, through seqformat's serialize and parse of one-box pages ---
+
+
+def _bins_of(box, width, height, bins):
+    """The four bins ``serialize`` writes for ``box`` on a one-box page."""
+    page = Document(width, height, (Element(Category.FIGURE, box, FigureContent()),))
+    return serialize(page, bins=bins).tokens[1:5]
+
+
+def _centres(bins_, width, height, grid):
+    """The box ``parse`` reads back from four bins on a one-box page."""
+    return parse(TokenSequence(("<Figure>", *bins_, "<Sep>"), grid), width, height).elements[0].bbox
+
+
 def test_quantize_boundaries():
-    assert quantize_coord(0.0, 1000.0, 1000) == 0
-    assert quantize_coord(1000.0, 1000.0, 1000) == 999
-    assert quantize_coord(512.3, 1024.0, 1000) == 500
+    # The top edge clamps into the last bin.
+    assert _bins_of(BoundingBox(0.0, 0.0, 1000.0, 1000.0), 1000.0, 1000.0, 1000) == (0, 0, 999, 999)
+    assert _bins_of(BoundingBox(512.3, 0.0, 1024.0, 512.3), 1024.0, 1024.0, 1000) == (500, 0, 999, 500)
 
 
 def test_quantize_domain_errors():
-    with pytest.raises(ValueError):
-        quantize_coord(-1.0, 100.0, 10)
-    with pytest.raises(ValueError):
-        quantize_coord(101.0, 100.0, 10)
-    with pytest.raises(ValueError):
-        quantize_coord(5.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        quantize_coord(5.0, -3.0, 10)
-    with pytest.raises(ValueError):
-        quantize_coord(5.0, 100.0, 1)
-    for extent in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            quantize_coord(5.0, extent, 10)
+    # serialize validates the page first, so no bin is made off the page or on a bad page.
+    for box in [(-1.0, 0.0, 5.0, 5.0), (0.0, 0.0, 101.0, 5.0), (0.0, math.nan, 5.0, 5.0)]:
+        with pytest.raises(DocumentValidationError, match="outside page"):
+            _bins_of(BoundingBox(*box), 100.0, 100.0, 10)
+    for extent in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(DocumentValidationError, match="positive and finite"):
+            _bins_of(BoundingBox(0.0, 0.0, 5.0, 5.0), extent, 100.0, 10)
+    with pytest.raises(ValueError, match="bins must be an int >= 2"):
+        _bins_of(BoundingBox(0.0, 0.0, 5.0, 5.0), 100.0, 100.0, 1)
 
 
 @pytest.mark.parametrize("bins", [2.5, 1000.0, np.int64(10), True])
 def test_grid_size_must_be_an_exact_int(bins):
-    # A grid that parse would refuse is refused where coordinates are made, too.
-    with pytest.raises(ValueError, match="bins must be an int >= 2"):
-        quantize_coord(50.0, 100.0, bins)
-    with pytest.raises(ValueError, match="bins must be an int >= 2"):
-        dequantize_coord(0, 100.0, bins)
+    # One rule, applied where bins are made and, before any token is read, where
+    # they are read back: the None token would fail parse otherwise.
+    for call in (
+        lambda: check_grid(bins),
+        lambda: _bins_of(BoundingBox(0.0, 0.0, 50.0, 50.0), 100.0, 100.0, bins),
+        lambda: parse(TokenSequence((None,), bins), 100.0, 100.0),
+    ):
+        with pytest.raises(ValueError, match="bins must be an int >= 2"):
+            call()
 
 
 def test_dequantize_bin_centers():
-    assert dequantize_coord(0, 1000.0, 1000) == 0.5
-    assert dequantize_coord(999, 1000.0, 1000) == 999.5
-    assert dequantize_coord(500, 1024.0, 1000) == pytest.approx(512.512, abs=1e-9)
+    assert _centres((0, 0, 999, 999), 1000.0, 1000.0, 1000) == BoundingBox(0.5, 0.5, 999.5, 999.5)
+    assert _centres((500, 0, 500, 1), 1024.0, 1000.0, 1000).x_min == pytest.approx(512.512, abs=1e-9)
 
 
 def test_dequantize_domain_errors():
-    with pytest.raises(ValueError):
-        dequantize_coord(-1, 1000.0, 1000)
-    with pytest.raises(ValueError):
-        dequantize_coord(1000, 1000.0, 1000)
-    with pytest.raises(ValueError):
-        dequantize_coord(0, 0.0, 1000)
-    for extent in (math.inf, math.nan):
+    for bins_, offset in [((-1, 0, 1, 1), 1), ((0, 0, 1000, 1), 3)]:
+        with pytest.raises(ParseError) as err:
+            _centres(bins_, 1000.0, 1000.0, 1000)
+        assert (err.value.kind, err.value.offset) == (ParseErrorKind.COORD_OUT_OF_RANGE, offset)
+    for extent in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            dequantize_coord(3, extent, 1000)
+            _centres((3, 3, 3, 3), extent, 1000.0, 1000)
 
 
 def test_quantize_matches_exact_arithmetic():
@@ -89,7 +100,7 @@ def test_quantize_matches_exact_arithmetic():
         v = round(rng.uniform(0, extent), 3)
         exact = Fraction(v) * bins / Fraction(extent)
         expected = min(math.floor(exact), bins - 1)
-        assert quantize_coord(v, extent, bins) == expected, (v, extent, bins)
+        assert _bins_of(BoundingBox(v, v, v, v), extent, extent, bins) == (expected,) * 4, (v, extent, bins)
 
 
 @given(
@@ -99,7 +110,8 @@ def test_quantize_matches_exact_arithmetic():
 )
 def test_quantize_monotone(v1, v2, bins):
     lo, hi = sorted((v1, v2))
-    assert quantize_coord(lo, 1024.0, bins) <= quantize_coord(hi, 1024.0, bins)
+    x0, y0, x1, y1 = _bins_of(BoundingBox(lo, lo, hi, hi), 1024.0, 1024.0, bins)
+    assert x0 == y0 <= x1 == y1
 
 
 @given(
@@ -110,8 +122,9 @@ def test_quantize_monotone(v1, v2, bins):
 def test_quantize_round_trip_within_one_bin(v, extent, bins):
     if v > extent:
         v = extent
-    back = dequantize_coord(quantize_coord(v, extent, bins), extent, bins)
-    assert abs(back - v) <= extent / bins + 1e-9 * extent
+    back = _centres(_bins_of(BoundingBox(v, v, v, v), extent, extent, bins), extent, extent, bins)
+    for coord in (back.x_min, back.y_min, back.x_max, back.y_max):
+        assert abs(coord - v) <= extent / bins + 1e-9 * extent
 
 
 def _valid_doc():

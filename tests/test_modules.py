@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import docrec
+from docrec.cli import main
 
 
 def test_no_module_imports_private_names_of_another():
@@ -96,6 +97,41 @@ def test_cli_import_leaves_out_numpy_and_scipy():
         "'docrec.metrics', 'docrec.gtgen', 'docrec.readorder', 'docrec.convert'} & set(sys.modules)))"
     )
     assert _run_python(code).strip() == "[]"
+
+
+_FIXTURES = Path(__file__).resolve().parent / "fixtures"
+_GT, _PRED = str(_FIXTURES / "gt.jsonl"), str(_FIXTURES / "pred.jsonl")
+#: One call of each subcommand on the fixture corpora.
+_FIXTURE_CALLS = {
+    "validate": ["validate", _GT],
+    "eval": ["eval", "--gt", _GT, "--pred", _PRED],
+    "convert": ["convert", _PRED, "--target", "markdown"],
+    "order": ["order", _PRED],
+    "gtgen": ["gtgen", _GT],
+}
+
+
+def test_every_subcommand_runs_without_numpy_and_scipy(capsys):
+    """numpy and scipy are the ``losses`` extra: with both unimportable, each
+    subcommand prints what it prints with them, and eval the manifest's scores."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from docrec.cli import main\n"
+        "outs = {}\n"
+        f"for name, argv in {_FIXTURE_CALLS!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(argv) == 0, name\n"
+        "    outs[name] = out.getvalue()\n"
+        "print(json.dumps(outs))\n"
+    )
+    outs = json.loads(_run_python(code))
+    for name, argv in _FIXTURE_CALLS.items():
+        assert main(argv) == 0
+        assert outs[name] == capsys.readouterr().out, name
+    manifest = json.loads((_FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    report = json.loads(outs["eval"])
+    assert (report["dsm"], report["ned"]) == (round(manifest["dsm"], 4), round(manifest["ned"], 4))
 
 
 _PAGE = {"page_width": 100.0, "page_height": 100.0, "elements": [

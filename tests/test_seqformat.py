@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from docrec import seqformat
 from docrec.model import (
     BoundingBox,
     Category,
@@ -257,6 +258,16 @@ def test_parse_rejects_bins_that_are_not_an_int_of_at_least_two(bins):
 def test_serialize_refuses_bins_that_parse_refuses(doc, bins):
     with pytest.raises(ValueError, match="bins must be an int >= 2"):
         serialize(doc, bins=bins)
+
+
+def test_serialize_and_parse_check_the_grid_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seqformat, "check_grid", lambda bins: calls.append(bins))
+    box = BoundingBox(1.5, 1.5, 2.5, 2.5)  # bin centres, so parse gives the page back
+    doc = Document(100.0, 100.0, tuple(Element(Category.FIGURE, box, FigureContent()) for _ in range(50)))
+    seq = serialize(doc, bins=100)
+    assert parse(seq, 100.0, 100.0).elements == doc.elements
+    assert calls == [100, 100]
 
 
 def test_parse_stray_table_tag_in_paragraph():
