@@ -39,6 +39,15 @@ from .seqformat import parse as parse_tokens
 
 def _round_floats(value: Any) -> Any:
     """Fix every float in a JSON-ready payload at 4 decimals for stable diffs."""
+    kind = type(value)  # the exact types first, then subclasses; a bool stays as it is
+    if kind is float:  # an integral float, as pixel coordinates often are, is its own rounding
+        return value if value.is_integer() else round(value, 4)
+    if kind is list:
+        return [_round_floats(v) for v in value]
+    if kind is dict:
+        return {k: _round_floats(v) for k, v in value.items()}
+    if kind is str or kind is int:
+        return value
     if isinstance(value, float):
         return round(value, 4)
     if isinstance(value, list):

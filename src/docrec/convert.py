@@ -8,8 +8,6 @@ one format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     BoundingBox,
     Category,
@@ -18,6 +16,7 @@ from .model import (
     FormulaContent,
     ParagraphContent,
     TableContent,
+    value,
 )
 from .seqformat import td_tag
 
@@ -63,7 +62,7 @@ def to_markdown(doc: Document) -> str:
     return "\n\n".join(element_text(el) for el in doc.elements)
 
 
-@dataclass(frozen=True)
+@value
 class LayoutRecord:
     """Detection-style record: category + box + confidence (1.0 for ground truth)."""
 

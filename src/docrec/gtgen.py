@@ -8,8 +8,8 @@ valid document. Lines nothing claims are reported, never dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from bisect import bisect_right
+from typing import Collection, Sequence
 
 from .metrics import edit_distance
 from .model import (
@@ -21,11 +21,12 @@ from .model import (
     ParagraphContent,
     TextLine,
     exact_boxes,
+    value,
 )
 from .readorder import OrderConfig, row_bands, xy_cut_order
 
 
-@dataclass(frozen=True)
+@value
 class AssocConfig:
     iou_threshold: float = 0.5
 
@@ -39,6 +40,20 @@ def _as_is(box: BoundingBox, kind: type) -> bool:
     coords = (box.x_min, box.y_min, box.x_max, box.y_max)
     same = type(box.x_min) is type(box.y_min) is type(box.x_max) is type(box.y_max) is kind
     return same and (kind is int or (all(map(math.isfinite, coords)) and math.isfinite(box.area)))
+
+
+def _y_candidates(boxes: list[BoundingBox], line_boxes: list[BoundingBox]) -> list[Collection[int]]:
+    """For each line box, the indices of ``boxes`` filed in a y-bucket its ``[y_min, y_max]`` spans. Up to
+    64 of the boxes' ``y_min`` values bound the buckets, found by comparison alone; a y in both ranges lies
+    in a bucket of each, so every box that meets the line is offered."""
+    bounds = sorted({box.y_min for box in boxes})
+    bounds = bounds[:: len(bounds) // 64 + 1]
+    buckets: list[list[int]] = [[] for _ in range(len(bounds) + 1)]
+    for idx, box in enumerate(boxes):
+        for k in range(bisect_right(bounds, box.y_min), bisect_right(bounds, box.y_max) + 1):
+            buckets[k].append(idx)
+    spans = [(bisect_right(bounds, box.y_min), bisect_right(bounds, box.y_max)) for box in line_boxes]
+    return [buckets[lo] if lo == hi else set().union(*buckets[lo:hi + 1]) for lo, hi in spans]
 
 
 def associate_lines(
@@ -58,10 +73,10 @@ def associate_lines(
     Any other call measures on ``exact_boxes`` copies of every box, which
     also names a box with a NaN or infinite coordinate.
 
-    A line is measured only against the elements it overlaps with positive
-    width and height. Skipping the rest is exact: their intersection is 0 (for
-    ints and finite floats ``a < b`` exactly when ``b - a > 0``), the threshold
-    is positive and the key ends in the unique index.
+    A line is measured only against the elements ``_y_candidates`` offers that it overlaps with
+    positive width and height. Skipping the rest is exact: their intersection is 0 (for ints and
+    finite floats ``a < b`` exactly when ``b - a > 0``), the threshold is positive and the key ends
+    in the unique index, so the order of the tests cannot matter.
     """
     cfg = cfg or AssocConfig()
     boxes = [box for _, box in elements]
@@ -70,13 +85,14 @@ def associate_lines(
     if not (all(_as_is(box, int) for box in every) or all(_as_is(box, float) for box in every)):
         boxes, line_boxes = exact_boxes(boxes), exact_boxes(line_boxes)
     result: list[int | None] = []
-    for line_box in line_boxes:
+    for line_box, candidates in zip(line_boxes, _y_candidates(boxes, line_boxes)):
         line_area = line_box.area
         best: int | None = None
         best_key: tuple[float, float, int] | None = None
         if line_area > 0:
             x0, y0, x1, y1 = line_box.x_min, line_box.y_min, line_box.x_max, line_box.y_max
-            for idx, box in enumerate(boxes):
+            for idx in candidates:
+                box = boxes[idx]
                 if not (box.x_min < x1 and x0 < box.x_max and box.y_min < y1 and y0 < box.y_max):
                     continue
                 ratio = line_box.intersection_area(box) / line_area
@@ -115,7 +131,7 @@ def fuzzy_match(a: str, b: str) -> float:
     return 1.0 - edit_distance(na, nb) / max(len(na), len(nb))
 
 
-@dataclass(frozen=True)
+@value
 class AssemblyResult:
     """Assembled document plus the fate of every input line.
 

@@ -11,7 +11,6 @@ needs numpy and scipy, the ``losses`` extra (``pip install docrec[losses]``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,19 +42,15 @@ def _check_prob_vector(vec: np.ndarray, where: str) -> None:
         raise ValueError(f"{where}: probability vectors must sum to 1 within 1e-6")
 
 
-# Identity equality: a generated __eq__ would compare numpy arrays, and their
-# truth value is ambiguous.
-@dataclass(eq=False)
+# Plain mutable classes with identity equality: an __eq__ over the fields would
+# compare numpy arrays, and their truth value is ambiguous.
 class ElementPrediction:
     """Per-query outputs: class distribution, box, and per-step token distributions."""
 
-    class_probs: np.ndarray  # (NUM_CLASSES,)
-    box: BoundingBox
-    token_probs: np.ndarray  # (L, V)
-
-    def __post_init__(self) -> None:
-        self.class_probs = np.asarray(self.class_probs, dtype=float)
-        self.token_probs = np.asarray(self.token_probs, dtype=float)
+    def __init__(self, class_probs: np.ndarray, box: BoundingBox, token_probs: np.ndarray) -> None:
+        self.class_probs = np.asarray(class_probs, dtype=float)  # (NUM_CLASSES,)
+        self.box = box
+        self.token_probs = np.asarray(token_probs, dtype=float)  # (L, V)
         if self.class_probs.shape != (NUM_CLASSES,):
             raise ValueError(
                 f"class_probs must have shape ({NUM_CLASSES},), got {self.class_probs.shape}"
@@ -66,19 +61,15 @@ class ElementPrediction:
         _check_prob_vector(self.token_probs, "token_probs")
 
 
-@dataclass(eq=False)  # identity equality, as for ElementPrediction
 class ElementTarget:
     """Ground-truth element as a padded, masked token row."""
 
-    category: Category
-    box: BoundingBox
-    tokens: np.ndarray  # (L,) token ids, padded
-    mask: np.ndarray  # (L,) 1 on real tokens, 0 on padding
-
-    def __post_init__(self) -> None:
+    def __init__(self, category: Category, box: BoundingBox, tokens: np.ndarray, mask: np.ndarray) -> None:
+        self.category = category
+        self.box = box
         # Both checks run before the int cast, which would truncate 1.7 to 1.
-        tokens = np.asarray(self.tokens)
-        mask = np.asarray(self.mask)
+        tokens = np.asarray(tokens)  # (L,) token ids, padded
+        mask = np.asarray(mask)  # (L,) 1 on real tokens, 0 on padding
         if tokens.ndim != 1 or tokens.shape != mask.shape:
             raise ValueError("tokens and mask must be 1-d arrays of equal length")
         if not ((mask == 0) | (mask == 1)).all():

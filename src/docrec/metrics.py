@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import convert
 from .convert import element_text  # by name, as perfbench/spans.py wraps metrics.element_text
-from .model import BoundingBox, Document, Element, exact_boxes
+from .model import BoundingBox, Document, Element, exact_boxes, value
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -195,14 +194,14 @@ def document_distance(gt: Document, pred: Document) -> float:
         exact.update(bound)
 
 
-@dataclass(frozen=True)
+@value
 class DocumentScore:
     distance: float
     max_len: int
     normalized: float
 
 
-@dataclass(frozen=True)
+@value
 class EvalReport:
     """Corpus evaluation result; ``dsm``/``ned`` are None when not computed."""
 

@@ -1,6 +1,6 @@
 """Domain types for reconstructed documents: boxes, elements, contents.
 
-Values are plain immutable dataclasses. Constructors deliberately do NOT
+Values are immutable value classes (``value``). Constructors deliberately do NOT
 enforce the geometric/semantic invariants; ``validate_document`` reports
 violations instead, so invalid inputs can be loaded, inspected and
 diagnosed rather than rejected at construction time.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from typing import Any, Sequence
 
@@ -25,6 +24,34 @@ MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 INT_STR_LIMIT = 10**MAX_INT_DIGITS if MAX_INT_DIGITS else math.inf
 
 
+def _frozen(self: Any, name: str, *assigned: Any) -> None:
+    raise AttributeError(f"cannot {'assign to' if assigned else 'delete'} field {name!r}")
+
+
+def value(cls: type) -> type:
+    """``cls`` remade as an immutable value over its annotated fields, as ``@dataclass(frozen=True,
+    slots=True)`` makes it, without ``dataclasses``, which is slow to import and to apply:
+    ``__init__`` takes the fields by position or keyword, a class attribute being a field's default,
+    then runs any ``__post_init__``; ``repr`` is the dataclass form; ``==`` (same class only) and
+    ``hash`` read the tuple of fields; setting or deleting an attribute raises AttributeError.
+    ``_fields`` names the fields in order."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    body = {name: attr for name, attr in vars(cls).items() if name not in (*names, "__dict__", "__weakref__")}
+    exec(f"def __init__(self{''.join(f', {n}' for n in names)}):\n"
+         + "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+         + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else " pass\n")
+         + f"def _values(self): return ({''.join(f'self.{n}, ' for n in names)})\n",
+         {"_set": object.__setattr__}, body)
+    body["__init__"].__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    body.update(
+        __slots__=names, __qualname__=cls.__qualname__, _fields=names, __setattr__=_frozen, __delattr__=_frozen,
+        __repr__=lambda self: f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})",
+        __eq__=lambda self, other: self._values() == other._values() if other.__class__ is self.__class__
+        else NotImplemented,
+        __hash__=lambda self: hash(self._values()), __reduce__=lambda self: (type(self), self._values()))
+    return type(cls.__name__, cls.__bases__, body)
+
+
 class Category(Enum):
     """Layout element category. Exactly four kinds; anything else is an error."""
 
@@ -34,7 +61,7 @@ class Category(Enum):
     FIGURE = "Figure"
 
 
-@dataclass(frozen=True)
+@value
 class BoundingBox:
     """Axis-aligned box in page pixel coordinates, origin top-left."""
 
@@ -44,18 +71,10 @@ class BoundingBox:
     y_max: float
 
     @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
     def area(self) -> float:
         # Degenerate/inverted boxes count as zero area; an int zero keeps int
         # boxes exact at any size, here and in intersection_area.
-        return max(self.width, 0) * max(self.height, 0)
+        return max(self.x_max - self.x_min, 0) * max(self.y_max - self.y_min, 0)
 
     def intersection_area(self, other: "BoundingBox") -> float:
         w = min(self.x_max, other.x_max) - max(self.x_min, other.x_min)
@@ -83,7 +102,7 @@ def exact_boxes(boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
     return out
 
 
-@dataclass(frozen=True)
+@value
 class TextLine:
     """One line of unformatted paragraph text with its own box."""
 
@@ -91,7 +110,7 @@ class TextLine:
     text: str
 
 
-@dataclass(frozen=True)
+@value
 class TableCell:
     bbox: BoundingBox
     rowspan: int = 1
@@ -99,7 +118,7 @@ class TableCell:
     text: str = ""
 
 
-@dataclass(frozen=True)
+@value
 class ParagraphContent:
     lines: tuple[TextLine, ...] = ()
 
@@ -107,7 +126,7 @@ class ParagraphContent:
         object.__setattr__(self, "lines", tuple(self.lines))
 
 
-@dataclass(frozen=True)
+@value
 class TableContent:
     rows: tuple[tuple[TableCell, ...], ...] = ()
 
@@ -115,12 +134,12 @@ class TableContent:
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
 
 
-@dataclass(frozen=True)
+@value
 class FormulaContent:
     latex: str = ""
 
 
-@dataclass(frozen=True)
+@value
 class FigureContent:
     """Figures carry no transcription."""
 
@@ -136,7 +155,7 @@ CONTENT_TYPES: dict[Category, type] = {
 }
 
 
-@dataclass(frozen=True)
+@value
 class Element:
     """One layout element: category, box, and category-specific content."""
 
@@ -145,7 +164,7 @@ class Element:
     content: Transcription
 
 
-@dataclass(frozen=True)
+@value
 class Document:
     """Ordered elements on one page; the list index is the reading order."""
 
@@ -228,7 +247,7 @@ def validate_document(doc: Document) -> list[str]:
 
 # --- canonical JSON representation ---------------------------------------
 #
-# Every value docrec writes is encoded by ``to_json_value``: a dataclass is an
+# Every value docrec writes is encoded by ``to_json_value``: a value class is an
 # object of its fields in declaration order, a box is [x0, y0, x1, y1] and a
 # category is its name. So one document is
 #   {"page_width": W, "page_height": H,
@@ -239,25 +258,27 @@ def validate_document(doc: Document) -> list[str]:
 #   Formula   {"latex": ...}
 #   Figure    {}
 # Corpus files are newline-delimited JSON, UTF-8. The decoders below stay
-# explicit: their defaults and path-naming errors are not in the dataclasses.
+# explicit: their defaults and path-naming errors are not in the value classes.
 
 
 def to_json_value(value: Any) -> Any:
     """The JSON form of a docrec value.
 
-    A dataclass becomes an object of its fields in declaration order, a
-    BoundingBox ``[x_min, y_min, x_max, y_max]``, a Category its name and a
-    tuple or list a list; any other value is returned unchanged.
+    A value class (``value``) becomes an object of its fields in declaration
+    order, a BoundingBox ``[x_min, y_min, x_max, y_max]``, a Category its name
+    and a tuple or list a list; any other value is returned unchanged.
     """
-    if isinstance(value, BoundingBox):
+    kind = type(value)
+    if kind is float or kind is str or kind is int or kind is dict:  # the usual leaves, by exact type
+        return value
+    if kind is BoundingBox or isinstance(value, BoundingBox):
         return [value.x_min, value.y_min, value.x_max, value.y_max]
-    if isinstance(value, (tuple, list)):
+    if kind is tuple or kind is list or isinstance(value, (tuple, list)):
         return [to_json_value(item) for item in value]
     if isinstance(value, Category):
         return value.value
-    if is_dataclass(value) and not isinstance(value, type):
-        # The generated __init__ sets the fields in declaration order.
-        return {name: to_json_value(item) for name, item in vars(value).items()}
+    if hasattr(kind, "_fields"):
+        return {name: to_json_value(getattr(value, name)) for name in kind._fields}
     return value
 
 
@@ -274,6 +295,8 @@ def _require_number(value: Any, where: str) -> float:
     return number
 
 
+#: Each category by its name.
+_CATEGORY_NAMES = {category.value: category for category in Category}
 #: The noun each plain JSON type goes by in a decoding error.
 _NOUNS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
 
@@ -285,6 +308,16 @@ def _require(value: Any, kind: type, where: str) -> Any:
     return value
 
 
+def _float_box(value: Any) -> BoundingBox | None:
+    """The box of an exact list of 4 exact, finite floats, else None: a fast path that formats no ``where``."""
+    if type(value) is list and len(value) == 4:
+        a, b, c, d = value
+        # 0.0 * v is 0.0 (or -0.0) for a finite v and NaN for an infinite one.
+        if type(a) is type(b) is type(c) is type(d) is float and 0.0 * a + 0.0 * b + 0.0 * c + 0.0 * d == 0.0:
+            return BoundingBox(a, b, c, d)
+    return None
+
+
 def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
     items = _require(value, list, where)
     if len(items) != 4:
@@ -294,11 +327,18 @@ def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
 
 
 def text_lines_from_value(value: Any, where: str = "lines") -> tuple[TextLine, ...]:
-    """Decode a JSON list of ``{bbox, text}`` line objects; ``text`` defaults to ""."""
+    """Decode a JSON list of ``{bbox, text}`` line objects, exact types on a fast path; ``text`` defaults to ""."""
+    items = _require(value, list, where)
     lines = []
-    for j, item in enumerate(_require(value, list, where)):
+    for item in items:
+        box = _float_box(item.get("bbox")) if type(item) is dict else None
+        text = item.get("text", "") if box else None
+        if type(text) is not str:
+            break
+        lines.append(TextLine(box, text))
+    for j in range(len(lines), len(items)):
         sub = f"{where}[{j}]"
-        item = _require(item, dict, sub)
+        item = _require(items[j], dict, sub)
         lines.append(
             TextLine(
                 bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
@@ -317,6 +357,12 @@ def _content_from_dict(category: Category, data: Any, where: str) -> Transcripti
         for r, row in enumerate(_require(data.get("rows", []), list, f"{where}.rows")):
             cells = []
             for c, item in enumerate(_require(row, list, f"{where}.rows[{r}]")):
+                if type(item) is dict:  # the fast path, as for text lines
+                    cell = TableCell(_float_box(item.get("bbox")), item.get("rowspan", 1),
+                                     item.get("colspan", 1), item.get("text", ""))
+                    if cell.bbox and type(cell.rowspan) is type(cell.colspan) is int and type(cell.text) is str:
+                        cells.append(cell)
+                        continue
                 sub = f"{where}.rows[{r}][{c}]"
                 item = _require(item, dict, sub)
                 cells.append(
@@ -353,12 +399,12 @@ def document_from_dict(data: Any, where: str = "document") -> Document:
     for i, item in enumerate(_require(data.get("elements", []), list, f"{where}.elements")):
         sub = f"{where}.elements[{i}]"
         item = _require(item, dict, sub)
-        name = _require(item.get("category"), str, f"{sub}.category")
-        try:
-            category = Category(name)
-        except ValueError:
-            raise ValueError(f"{sub}.category: unknown category {name!r}") from None
-        bbox = bbox_from_value(item.get("bbox"), f"{sub}.bbox")
+        name = item.get("category")
+        category = _CATEGORY_NAMES.get(name) if isinstance(name, str) else None
+        if category is None:
+            _require(name, str, f"{sub}.category")
+            raise ValueError(f"{sub}.category: unknown category {name!r}")
+        bbox = _float_box(box := item.get("bbox")) or bbox_from_value(box, f"{sub}.bbox")
         content = _content_from_dict(category, item.get("content", {}), f"{sub}.content")
         elements.append(Element(category=category, bbox=bbox, content=content))
     return Document(page_width=width, page_height=height, elements=tuple(elements))

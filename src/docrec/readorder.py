@@ -8,13 +8,12 @@ alone, independent of input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .model import BoundingBox
+from .model import BoundingBox, value
 
 
-@dataclass(frozen=True)
+@value
 class OrderConfig:
     """min_gap: whitespace width that constitutes a cut, in pixels.
     y_tolerance: boxes whose tops differ by at most this much count as one row."""

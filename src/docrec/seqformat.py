@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -47,6 +46,7 @@ from .model import (
     TableContent,
     TextLine,
     validate_document,
+    value,
 )
 
 
@@ -80,7 +80,7 @@ def td_tag(rowspan: int, colspan: int) -> str:
     return tag + ">"
 
 
-@dataclass(frozen=True)
+@value
 class TokenSequence:
     tokens: tuple[Token, ...]
     bins: int = DEFAULT_BINS

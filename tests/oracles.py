@@ -14,11 +14,15 @@ from functools import lru_cache
 
 from docrec.model import (
     BoundingBox,
+    Category,
     Document,
     Element,
+    FigureContent,
     FormulaContent,
     ParagraphContent,
+    TableCell,
     TableContent,
+    TextLine,
 )
 
 
@@ -294,3 +298,84 @@ def oracle_transcription_loss(targets, preds, assignment) -> float:
             if int(target.mask[t]):
                 total += -math.log(max(float(pred.token_probs[t][int(target.tokens[t])]), eps))
     return total
+
+
+# --- decoding: every part checked by isinstance, every path formatted ----------
+
+_NOUN = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind, where):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{where}: expected {_NOUN[kind]}, got {value!r}")
+    return value
+
+
+def _finite(value, where) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    # An int that rounds to 2**1024 or beyond is past the float range, as non-finite as 1e999.
+    if isinstance(value, int) and abs(value) >= 2**1024 - 2**970 or not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _oracle_box(value, where) -> BoundingBox:
+    items = _expect(value, list, where)
+    if len(items) != 4:
+        raise ValueError(f"{where}: expected 4 coordinates, got {len(items)}")
+    return BoundingBox(*(_finite(v, f"{where}[{i}]") for i, v in enumerate(items)))
+
+
+def oracle_text_lines_from_value(value, where="lines"):
+    """The slow reference decoder of a list of ``{bbox, text}`` lines: no fast path."""
+    out = []
+    for j, item in enumerate(_expect(value, list, where)):
+        item = _expect(item, dict, f"{where}[{j}]")
+        box = _oracle_box(item.get("bbox"), f"{where}[{j}].bbox")
+        out.append(TextLine(box, _expect(item.get("text", ""), str, f"{where}[{j}].text")))
+    return tuple(out)
+
+
+def _oracle_cell(item, where) -> TableCell:
+    item = _expect(item, dict, where)
+    return TableCell(
+        _oracle_box(item.get("bbox"), f"{where}.bbox"),
+        _expect(item.get("rowspan", 1), int, f"{where}.rowspan"),
+        _expect(item.get("colspan", 1), int, f"{where}.colspan"),
+        _expect(item.get("text", ""), str, f"{where}.text"),
+    )
+
+
+def oracle_document_from_dict(data, where="document") -> Document:
+    """The slow reference decoder of a document: every check in document order, no fast path."""
+    data = _expect(data, dict, where)
+    if "page_width" not in data or "page_height" not in data:
+        raise ValueError(f"{where}: missing page_width/page_height")
+    width = _finite(data["page_width"], f"{where}.page_width")
+    height = _finite(data["page_height"], f"{where}.page_height")
+    elements = []
+    for i, item in enumerate(_expect(data.get("elements", []), list, f"{where}.elements")):
+        sub = f"{where}.elements[{i}]"
+        item = _expect(item, dict, sub)
+        name = _expect(item.get("category"), str, f"{sub}.category")
+        category = next((c for c in Category if c.value == name), None)
+        if category is None:
+            raise ValueError(f"{sub}.category: unknown category {name!r}")
+        box = _oracle_box(item.get("bbox"), f"{sub}.bbox")
+        at = f"{sub}.content"
+        data_ = _expect(item.get("content", {}), dict, at)
+        if category is Category.PARAGRAPH:
+            content = ParagraphContent(oracle_text_lines_from_value(data_.get("lines", []), f"{at}.lines"))
+        elif category is Category.TABLE:
+            content = TableContent(tuple(
+                tuple(_oracle_cell(cell, f"{at}.rows[{r}][{c}]")
+                      for c, cell in enumerate(_expect(row, list, f"{at}.rows[{r}]")))
+                for r, row in enumerate(_expect(data_.get("rows", []), list, f"{at}.rows"))
+            ))
+        elif category is Category.FORMULA:
+            content = FormulaContent(_expect(data_.get("latex", ""), str, f"{at}.latex"))
+        else:
+            content = FigureContent()
+        elements.append(Element(category, box, content))
+    return Document(width, height, tuple(elements))

@@ -879,3 +879,32 @@ def test_mutated_documents_are_bad_input_or_valid_output(data):
     else:
         assert out.getvalue() == ""
         assert str(path) in err.getvalue()
+
+
+class _Float(float):
+    pass
+
+
+def _rounded_plainly(value):
+    """Every float, a float subclass too but never a bool, at 4 decimals; lists and dicts rebuilt."""
+    if isinstance(value, float):
+        return round(value, 4)
+    if isinstance(value, list):
+        return [_rounded_plainly(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _rounded_plainly(v) for k, v in value.items()}
+    return value
+
+
+_PAYLOADS = st.recursive(
+    st.floats() | st.sampled_from([-0.0, 1e300, 2.0**60, 0.00005, 12.34565])
+    | st.integers() | st.booleans() | st.text(max_size=2) | st.none() | st.floats().map(_Float),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(_PAYLOADS)
+def test_output_rounding_matches_the_plain_rule_bit_for_bit(payload):
+    # repr tells -0.0 from 0.0 and a float from its subclass, and round-trips every other float.
+    assert repr(cli._round_floats(payload)) == repr(_rounded_plainly(payload))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from docrec import gtgen
 from docrec.gtgen import (
     AssocConfig,
     assemble_ground_truth,
@@ -250,6 +251,57 @@ def test_associate_lines_measures_only_overlapping_pairs(monkeypatch):
     monkeypatch.undo()
     assert calls == overlapping < len(lines) * len(elements) // 20
     assert result == oracle_associate_lines(elements, lines)
+
+
+@st.composite
+def _tall_case(draw):
+    """Up to 150 elements with many distinct tops, so that the y-index samples its bounds;
+    ``mixed`` puts an int among floats, which sends the call to ``exact_boxes``."""
+    kind = draw(st.sampled_from(["int", "float", "mixed"]))
+    coord = st.integers(0, 400).map(float if kind != "int" else int)
+
+    def some_box(draw_box):
+        x0, y0 = draw_box(coord), draw_box(coord)
+        return box(x0, y0, x0 + draw_box(st.integers(-2, 60)), y0 + draw_box(st.integers(-2, 60)))
+
+    elements = [some_box(draw) for _ in range(draw(st.integers(0, 150)))]
+    lines = [some_box(draw) for _ in range(draw(st.integers(1, 20)))]
+    if kind == "mixed":
+        lines[0] = box(int(lines[0].x_min), lines[0].y_min, lines[0].x_max, lines[0].y_max)
+    return elements, lines, draw(st.sampled_from([0.01, 0.3, 0.5, 1.0]))
+
+
+@given(_tall_case())
+def test_associate_lines_matches_all_pairs_on_tall_pages(case):
+    elements, lines, threshold = case
+    args = [(Category.PARAGRAPH, b) for b in elements], [TextLine(b, "x") for b in lines]
+    cfg = AssocConfig(iou_threshold=threshold)
+    assert associate_lines(*args, cfg) == oracle_associate_lines(*args, cfg)
+
+
+def test_associate_lines_tests_few_pairs_on_a_page(monkeypatch):
+    # 110 elements in two columns of 55 rows, each holding 5 or 6 of 630 lines.
+    elements = [(Category.PARAGRAPH, box(20.0 + 490 * c, 20.0 + 40 * r, 480.0 + 490 * c, 52.0 + 40 * r))
+                for r in range(55) for c in range(2)]
+    lines = []
+    for i in range(630):
+        el = elements[i % 110][1]
+        y = el.y_min + 5 * (i // 110)
+        lines.append(TextLine(box(el.x_min + 2, y, el.x_max - 2, y + 4), "x"))
+    tested = 0
+    offer = gtgen._y_candidates
+
+    def counted(boxes, line_boxes):
+        nonlocal tested
+        candidates = offer(boxes, line_boxes)
+        tested += sum(map(len, candidates))
+        return candidates
+
+    monkeypatch.setattr(gtgen, "_y_candidates", counted)
+    result = associate_lines(elements, lines)
+    monkeypatch.undo()
+    assert tested < len(elements) * len(lines) // 10
+    assert result == oracle_associate_lines(elements, lines) == [i % 110 for i in range(630)]
 
 
 def test_fuzzy_match_properties():

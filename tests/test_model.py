@@ -1,5 +1,9 @@
+import collections
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 import sys
 import unicodedata
@@ -7,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrec import model
@@ -25,10 +29,12 @@ from docrec.model import (
     TextLine,
     document_from_dict,
     document_to_dict,
+    text_lines_from_value,
     validate_document,
 )
 from docrec.seqformat import ParseError, ParseErrorKind, TokenSequence, check_grid, parse, serialize
 from helpers import random_document
+from oracles import oracle_document_from_dict, oracle_text_lines_from_value
 
 
 # --- the coordinate grid, through seqformat's serialize and parse of one-box pages ---
@@ -419,3 +425,152 @@ def test_from_dict_rejects_non_finite(bad):
         document_from_dict({"page_width": 10, "page_height": 10, "elements": [figure]})
     with pytest.raises(ValueError, match=r"page_width: expected a finite number"):
         document_from_dict({"page_width": bad, "page_height": 10})
+
+
+# --- value classes against their dataclass twins ------------------------------
+
+
+def _value_classes() -> list[type]:
+    from docrec import convert, gtgen, metrics, readorder, seqformat
+
+    return [cls for module in (model, metrics, gtgen, convert, readorder, seqformat)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "_fields" in vars(cls)]
+
+
+#: What ``model.value`` adds to a class besides its fields' slots; the twin gets the rest of its body.
+_MADE_BY_VALUE = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__",
+                  "__slots__", "_fields", "_values"}
+
+
+def _dataclass_twin(cls: type) -> type:
+    """The class ``cls`` was made from, made by ``dataclasses`` instead."""
+    body = {name: attr for name, attr in vars(cls).items() if name not in {*_MADE_BY_VALUE, *cls._fields}}
+    defaults = cls.__init__.__defaults__
+    body.update(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
+
+
+def _outcome(make):
+    try:
+        return make()
+    except Exception as exc:  # a __post_init__ may refuse the values, on both sides alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FIELD_VALUES = (st.floats() | st.integers() | st.text(max_size=3) | st.none()
+                 | st.lists(st.lists(st.floats(allow_nan=False) | st.integers(), max_size=2).map(tuple),
+                            max_size=2).map(tuple))
+
+
+def test_every_value_class_is_checked_against_its_twin():
+    assert len(_value_classes()) == 16
+
+
+@given(st.data())
+def test_value_classes_behave_as_frozen_dataclasses(data):
+    cls = data.draw(st.sampled_from(_value_classes()))
+    twin = _dataclass_twin(cls)
+    fields = [f for f in dataclasses.fields(twin)]
+    assert cls._fields == tuple(f.name for f in fields)
+    values = [data.draw(_FIELD_VALUES) for _ in fields]
+    others = [data.draw(_FIELD_VALUES | st.just(v)) for v in values]
+    # The first ``split`` fields by position, the rest by keyword; a defaulted one may be left out.
+    split = data.draw(st.integers(0, len(fields)))
+    kwargs = {f.name: v for f, v in zip(fields[split:], values[split:])
+              if f.default is dataclasses.MISSING or data.draw(st.booleans())}
+    ours = _outcome(lambda: cls(*values[:split], **kwargs))
+    theirs = _outcome(lambda: twin(*values[:split], **kwargs))
+    if isinstance(theirs, str):
+        assert ours == theirs
+        return
+    assert repr(ours) == repr(theirs)
+    assert hash(ours) == hash(theirs)
+    assert ours == ours and ours != theirs and theirs != ours
+    ours2, theirs2 = _outcome(lambda: cls(*others)), _outcome(lambda: twin(*others))
+    if not isinstance(theirs2, str):
+        assert (ours == ours2) == (theirs == theirs2)
+        assert (ours != ours2) == (theirs != theirs2)
+    for name in [f.name for f in fields] + ["extra"]:
+        for act in (lambda obj: setattr(obj, name, 1), lambda obj: delattr(obj, name)):
+            messages = []
+            for obj in (ours, theirs):
+                with pytest.raises(AttributeError) as err:
+                    act(obj)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+    assert repr(pickle.loads(pickle.dumps(ours))) == repr(copy.copy(ours)) == repr(ours)
+
+
+def test_a_box_holding_a_nan_equals_itself_as_a_dataclass_does():
+    nan = math.nan
+    twin = _dataclass_twin(BoundingBox)
+    for make in (BoundingBox, twin):
+        box = make(nan, 0.0, 1.0, 1.0)
+        assert box == box and box == make(nan, 0.0, 1.0, 1.0)
+        assert box != make(float("nan"), 0.0, 1.0, 1.0)
+        assert {box: 1}[make(nan, 0.0, 1.0, 1.0)] == 1
+    assert repr(BoundingBox(nan, 0, 1.5, -0.0)) == repr(twin(nan, 0, 1.5, -0.0))
+    assert BoundingBox(0, 0, 1, 1) != (0, 0, 1, 1)
+
+
+# --- decoding: the fast path against the slow reference ---------------------
+
+
+class _ListSub(list):
+    pass
+
+
+#: What a mutation may put in place of any part of a document's JSON.
+_REPLACEMENTS = [
+    3, 0, True, False, 1e999, -1e999, 10**400, -0.0, 0.5, np.float64(2.5), "x", "Paragraph", None, [], {},
+    [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0], (1.0, 2.0, 3.0, 4.0), [1, 2, 3, 4], [0.0, 0.0, 1e999, 1.0],
+    [0.0, True, 1.0, 1.0], _ListSub([1.0, 2.0, 3.0, 4.0]), [[]], [[{}]], ["x"],
+    collections.OrderedDict(bbox=[0.0, 0.0, 1.0, 1.0], text="t"), {"bbox": [0.0, 0.0, 1.0, 1.0]},
+]
+
+
+def _parts(value, path=()):
+    """The path of every part of a JSON value, the value itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _parts(item, path + (key,))
+
+
+def _mutated(value, replacement, data):
+    """``value`` with ``replacement`` put in place of one of its parts, and up to two more parts
+    replaced or deleted."""
+    for n in range(data.draw(st.integers(1, 3))):
+        paths = list(_parts(value))[1:]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        if n and isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_REPLACEMENTS)) if n else replacement)
+    return value
+
+
+def _decoded(decode, value, where):
+    try:
+        return repr(decode(value, where))  # repr tells 5.0 from 5 and -0.0 from 0.0
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("replacement", _REPLACEMENTS, ids=repr)
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_decoders_match_the_slow_reference_on_mutated_json(replacement, seed, data):
+    """The built value, or the exact message, is the reference decoder's."""
+    doc = json.loads(json.dumps(document_to_dict(random_document(random.Random(seed), 1, 5))))
+    lines = [line for el in doc["elements"] for line in el["content"].get("lines", [])]
+    doc, lines = _mutated(doc, replacement, data), _mutated(lines, replacement, data)
+    assert _decoded(document_from_dict, doc, "p:1") == _decoded(oracle_document_from_dict, doc, "p:1")
+    assert _decoded(text_lines_from_value, lines, "p:1.lines") == _decoded(
+        oracle_text_lines_from_value, lines, "p:1.lines")

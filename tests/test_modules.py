@@ -89,11 +89,13 @@ def test_cli_import_leaves_out_numpy_and_scipy():
     """Only ``docrec.losses`` needs numpy and scipy; every CLI call starts without them,
     and without ``concurrent.futures``: the CLI runs its work on one thread. Nor does
     it load ``fractions`` (or ``decimal``, which it imports): only boxes that floats
-    cannot measure need exact arithmetic, and ``exact_boxes`` imports it then. The
-    modules that only some subcommands run are loaded by those subcommands."""
+    cannot measure need exact arithmetic, and ``exact_boxes`` imports it then. Nor
+    ``dataclasses`` (or ``inspect``, which it imports): ``model.value`` builds the
+    value classes. The modules that only some subcommands run are loaded by those
+    subcommands."""
     code = (
         "import sys, docrec.cli; "
-        "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'fractions', 'decimal', "
+        "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'fractions', 'decimal', 'dataclasses', 'inspect', "
         "'docrec.metrics', 'docrec.gtgen', 'docrec.readorder', 'docrec.convert'} & set(sys.modules)))"
     )
     assert _run_python(code).strip() == "[]"
@@ -155,6 +157,7 @@ _CLI_CORE = ["docrec.cli", "docrec.model", "docrec.seqformat"]
     ids=["validate", "eval", "convert", "order", "gtgen"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    """Each subcommand loads the docrec modules it runs, and neither ``dataclasses`` nor ``inspect``."""
     (tmp_path / "page.jsonl").write_text(json.dumps(_PAGE) + "\n", encoding="utf-8")
     (tmp_path / "raw.jsonl").write_text(json.dumps(_RAW) + "\n", encoding="utf-8")
     code = (
@@ -163,8 +166,9 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, extra):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
         "print(sorted(name for name in sys.modules if name.startswith('docrec.')))\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    assert _run_python(code, cwd=tmp_path).strip() == repr(sorted(_CLI_CORE + extra))
+    assert _run_python(code, cwd=tmp_path).split("\n")[:2] == [repr(sorted(_CLI_CORE + extra)), "[]"]
 
 
 def test_importing_docrec_loads_no_module():
