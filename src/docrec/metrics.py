@@ -49,10 +49,20 @@ def edit_distance(a: str, b: str) -> int:
     shrinks between rows i and i + 1 of the longer string, so one pass over
     the shorter string updates a whole column with a few big-int operations.
     Bits above the longer string's length hold junk; carries and shifts only
-    move upward, so it never reaches the bits that count.
+    move upward, so it never reaches the bits that count. A shared prefix and
+    suffix are trimmed first: the distance of p + x + s and p + y + s is that
+    of x and y.
     """
     if a == b:
         return 0
+    n = min(len(a), len(b))
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    a, b = a[lo:len(a) - hi], b[lo:len(b) - hi]
     if len(a) < len(b):
         a, b = b, a
     if not b:

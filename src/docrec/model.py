@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 #: Default number of coordinate bins per axis of ``seqformat``'s grid. Coordinates
 #: are normalized by the page dimension, so the grid is resolution-independent.
@@ -259,6 +259,8 @@ def validate_document(doc: Document) -> list[str]:
 #   Figure    {}
 # Corpus files are newline-delimited JSON, UTF-8. The decoders below stay
 # explicit: their defaults and path-naming errors are not in the value classes.
+# Each field is checked on one path, and its path is built only when a fault is
+# raised: ``_Fault`` carries it up, each enclosing list adds its ``[i]``.
 
 
 def to_json_value(value: Any) -> Any:
@@ -282,17 +284,8 @@ def to_json_value(value: Any) -> Any:
     return value
 
 
-def _require_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    # JSON has no NaN or infinities, but json.loads reads 1e999 as inf.
-    if not math.isfinite(number):
-        raise ValueError(f"{where}: expected a finite number, got {value!r}")
-    return number
+def document_to_dict(doc: Document) -> dict:
+    return to_json_value(doc)
 
 
 #: Each category by its name.
@@ -301,110 +294,114 @@ _CATEGORY_NAMES = {category.value: category for category in Category}
 _NOUNS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
 
 
-def _require(value: Any, kind: type, where: str) -> Any:
-    """``value`` if it is a ``kind`` (a bool is no integer), else ValueError naming ``where``."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{where}: expected {_NOUNS[kind]}, got {value!r}")
-    return value
+class _Fault(Exception):
+    """A decoding fault: ``at`` is the failing part's path below the entry point's ``where``."""
+
+    def __init__(self, at: str, message: str):
+        self.at, self.message = at, message
 
 
-def _float_box(value: Any) -> BoundingBox | None:
-    """The box of an exact list of 4 exact, finite floats, else None: a fast path that formats no ``where``."""
-    if type(value) is list and len(value) == 4:
-        a, b, c, d = value
-        # 0.0 * v is 0.0 (or -0.0) for a finite v and NaN for an infinite one.
-        if type(a) is type(b) is type(c) is type(d) is float and 0.0 * a + 0.0 * b + 0.0 * c + 0.0 * d == 0.0:
-            return BoundingBox(a, b, c, d)
-    return None
+def _decoded(where: str, decode: Callable[..., Any], *args: Any) -> Any:
+    """``decode(*args)``; a fault becomes ValueError ``where + path: message``, the one place a path is formatted."""
+    try:
+        return decode(*args)
+    except _Fault as fault:
+        raise ValueError(f"{where}{fault.at}: {fault.message}") from None
 
 
-def bbox_from_value(value: Any, where: str = "bbox") -> BoundingBox:
-    items = _require(value, list, where)
+def _require(value: Any, kind: type, at: str = "") -> Any:
+    """``value`` if it is a ``kind`` (a bool is no integer), tested by exact type first."""
+    if type(value) is kind or isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise _Fault(at, f"expected {_NOUNS[kind]}, got {value!r}")
+
+
+def _each(value: Any, at: str, decode: Callable[[Any], Any]) -> tuple:
+    """``decode`` of each item of the list ``value`` at ``at``; a fault gains the item's ``[i]``."""
+    out = []
+    for item in _require(value, list, at):
+        try:
+            out.append(decode(item))
+        except _Fault as fault:
+            fault.at = f"{at}[{len(out)}]{fault.at}"
+            raise
+    return tuple(out)
+
+
+def _number(value: Any, at: str = "") -> float:
+    """``value`` as a finite float, tested by exact type first; a bool is no number."""
+    number = value
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _Fault(at, f"expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+    # JSON has no NaN or infinities, but json.loads reads 1e999 as inf; 0.0 * v is 0.0 only for a finite v.
+    if 0.0 * number == 0.0:
+        return number
+    raise _Fault(at, f"expected a finite number, got {value!r}")
+
+
+def _box(item: dict) -> BoundingBox:
+    """``item``'s ``bbox``: a list of 4 finite numbers."""
+    items = _require(item.get("bbox"), list, ".bbox")
     if len(items) != 4:
-        raise ValueError(f"{where}: expected 4 coordinates, got {len(items)}")
-    coords = [_require_number(v, f"{where}[{i}]") for i, v in enumerate(items)]
-    return BoundingBox(*coords)
+        raise _Fault(".bbox", f"expected 4 coordinates, got {len(items)}")
+    a, b, c, d = items
+    return BoundingBox(_number(a, ".bbox[0]"), _number(b, ".bbox[1]"), _number(c, ".bbox[2]"), _number(d, ".bbox[3]"))
+
+
+def _line(item: Any) -> TextLine:
+    item = _require(item, dict)
+    return TextLine(_box(item), _require(item.get("text", ""), str, ".text"))
+
+
+def _cell(item: Any) -> TableCell:
+    item = _require(item, dict)
+    return TableCell(_box(item), _require(item.get("rowspan", 1), int, ".rowspan"),
+                     _require(item.get("colspan", 1), int, ".colspan"), _require(item.get("text", ""), str, ".text"))
+
+
+def _element(item: Any) -> Element:
+    item = _require(item, dict)
+    name = _require(item.get("category"), str, ".category")
+    category = _CATEGORY_NAMES.get(name)
+    if category is None:
+        raise _Fault(".category", f"unknown category {name!r}")
+    bbox = _box(item)
+    data = _require(item.get("content", {}), dict, ".content")
+    if category is Category.PARAGRAPH:
+        content = ParagraphContent(_each(data.get("lines", []), ".content.lines", _line))
+    elif category is Category.TABLE:
+        content = TableContent(_each(data.get("rows", []), ".content.rows", lambda row: _each(row, "", _cell)))
+    elif category is Category.FORMULA:
+        content = FormulaContent(_require(data.get("latex", ""), str, ".content.latex"))
+    else:
+        content = FigureContent()
+    return Element(category, bbox, content)
+
+
+def _document(data: Any) -> Document:
+    data = _require(data, dict)
+    if "page_width" not in data or "page_height" not in data:
+        raise _Fault("", "missing page_width/page_height")
+    return Document(_number(data["page_width"], ".page_width"), _number(data["page_height"], ".page_height"),
+                    _each(data.get("elements", []), ".elements", _element))
 
 
 def text_lines_from_value(value: Any, where: str = "lines") -> tuple[TextLine, ...]:
-    """Decode a JSON list of ``{bbox, text}`` line objects, exact types on a fast path; ``text`` defaults to ""."""
-    items = _require(value, list, where)
-    lines = []
-    for item in items:
-        box = _float_box(item.get("bbox")) if type(item) is dict else None
-        text = item.get("text", "") if box else None
-        if type(text) is not str:
-            break
-        lines.append(TextLine(box, text))
-    for j in range(len(lines), len(items)):
-        sub = f"{where}[{j}]"
-        item = _require(items[j], dict, sub)
-        lines.append(
-            TextLine(
-                bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
-                text=_require(item.get("text", ""), str, f"{sub}.text"),
-            )
-        )
-    return tuple(lines)
-
-
-def _content_from_dict(category: Category, data: Any, where: str) -> Transcription:
-    data = _require(data, dict, where)
-    if category is Category.PARAGRAPH:
-        return ParagraphContent(text_lines_from_value(data.get("lines", []), f"{where}.lines"))
-    if category is Category.TABLE:
-        rows = []
-        for r, row in enumerate(_require(data.get("rows", []), list, f"{where}.rows")):
-            cells = []
-            for c, item in enumerate(_require(row, list, f"{where}.rows[{r}]")):
-                if type(item) is dict:  # the fast path, as for text lines
-                    cell = TableCell(_float_box(item.get("bbox")), item.get("rowspan", 1),
-                                     item.get("colspan", 1), item.get("text", ""))
-                    if cell.bbox and type(cell.rowspan) is type(cell.colspan) is int and type(cell.text) is str:
-                        cells.append(cell)
-                        continue
-                sub = f"{where}.rows[{r}][{c}]"
-                item = _require(item, dict, sub)
-                cells.append(
-                    TableCell(
-                        bbox=bbox_from_value(item.get("bbox"), f"{sub}.bbox"),
-                        rowspan=_require(item.get("rowspan", 1), int, f"{sub}.rowspan"),
-                        colspan=_require(item.get("colspan", 1), int, f"{sub}.colspan"),
-                        text=_require(item.get("text", ""), str, f"{sub}.text"),
-                    )
-                )
-            rows.append(tuple(cells))
-        return TableContent(tuple(rows))
-    if category is Category.FORMULA:
-        return FormulaContent(latex=_require(data.get("latex", ""), str, f"{where}.latex"))
-    return FigureContent()
-
-
-def document_to_dict(doc: Document) -> dict:
-    return to_json_value(doc)
+    """Decode a JSON list of ``{bbox, text}`` line objects; ``text`` defaults to "".
+    ValueError names the failing part's path below ``where``, built only when a fault is raised."""
+    return _decoded(where, _each, value, "", _line)
 
 
 def document_from_dict(data: Any, where: str = "document") -> Document:
     """Build a Document from its canonical JSON object.
 
-    Raises ValueError with a field path on any structural problem; unknown
+    Raises ValueError naming the failing part's path below ``where`` on any
+    structural problem; the path is built only when a fault is raised. Unknown
     top-level keys (e.g. an alignment ``id``) are ignored.
     """
-    data = _require(data, dict, where)
-    if "page_width" not in data or "page_height" not in data:
-        raise ValueError(f"{where}: missing page_width/page_height")
-    width = _require_number(data["page_width"], f"{where}.page_width")
-    height = _require_number(data["page_height"], f"{where}.page_height")
-    elements = []
-    for i, item in enumerate(_require(data.get("elements", []), list, f"{where}.elements")):
-        sub = f"{where}.elements[{i}]"
-        item = _require(item, dict, sub)
-        name = item.get("category")
-        category = _CATEGORY_NAMES.get(name) if isinstance(name, str) else None
-        if category is None:
-            _require(name, str, f"{sub}.category")
-            raise ValueError(f"{sub}.category: unknown category {name!r}")
-        bbox = _float_box(box := item.get("bbox")) or bbox_from_value(box, f"{sub}.bbox")
-        content = _content_from_dict(category, item.get("content", {}), f"{sub}.content")
-        elements.append(Element(category=category, bbox=bbox, content=content))
-    return Document(page_width=width, page_height=height, elements=tuple(elements))
+    return _decoded(where, _document, data)

@@ -69,22 +69,22 @@ def _split_groups(
 
     ``spans[i]`` is box i's (low, high) projection on the axis. Projections
     are closed intervals, so touching boxes never split. Returns None when
-    the projection has no qualifying gap.
+    the projection has no qualifying gap. Each group is a maximal gap-free
+    run of the sorted order, so splitting a group again on this axis fails.
     """
     order = sorted(idxs, key=spans.__getitem__)
-    groups: list[list[int]] = []
-    current = [order[0]]
+    cuts = [0]
     reach = spans[order[0]][1]
-    for i in order[1:]:
-        start, end = spans[i]
+    for k in range(1, len(order)):
+        start, end = spans[order[k]]
         if start - reach >= min_gap:
-            groups.append(current)
-            current = [i]
-        else:
-            current.append(i)
-        reach = max(reach, end)
-    groups.append(current)
-    return groups if len(groups) > 1 else None
+            cuts.append(k)
+        if end > reach:
+            reach = end
+    if len(cuts) == 1:
+        return None
+    cuts.append(len(order))
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def xy_cut_order(boxes: Sequence[BoundingBox], cfg: OrderConfig | None = None) -> list[int]:
@@ -100,20 +100,20 @@ def xy_cut_order(boxes: Sequence[BoundingBox], cfg: OrderConfig | None = None) -
     rows = [(b.y_min, b.y_max) for b in boxes]
     cols = [(b.x_min, b.x_max) for b in boxes]
     out: list[int] = []
-    # Regions still to order, the next one on top; pushing a region's groups
-    # in reverse emits them first to last.
-    stack = [list(range(len(boxes)))]
+    # Regions still to order, each with the spans of the axis that cut it out,
+    # the next one on top; pushing a region's groups in reverse emits them first
+    # to last. A region never tries the axis that cut it: it has no gap there.
+    stack: list[tuple[list[int], list[tuple[float, float]] | None]] = [(list(range(len(boxes))), None)]
     while stack:
-        idxs = stack.pop()
+        idxs, cut = stack.pop()
         if len(idxs) <= 1:
             out.extend(idxs)
             continue
-        groups = _split_groups(rows, idxs, cfg.min_gap)
-        if groups is None:
-            groups = _split_groups(cols, idxs, cfg.min_gap)
-        if groups is None:
+        for spans in (rows, cols):
+            if spans is not cut and (groups := _split_groups(spans, idxs, cfg.min_gap)):
+                stack.extend((group, spans) for group in reversed(groups))
+                break
+        else:
             local = fallback_sort([boxes[i] for i in idxs], cfg.y_tolerance)
             out.extend(idxs[k] for k in local)
-        else:
-            stack.extend(reversed(groups))
     return out

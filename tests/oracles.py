@@ -24,6 +24,7 @@ from docrec.model import (
     TableContent,
     TextLine,
 )
+from docrec.readorder import OrderConfig, fallback_sort  # the row-band fallback is not what the oracle checks
 
 
 def naive_edit_distance(a: str, b: str) -> int:
@@ -298,6 +299,50 @@ def oracle_transcription_loss(targets, preds, assignment) -> float:
             if int(target.mask[t]):
                 total += -math.log(max(float(pred.token_probs[t][int(target.tokens[t])]), eps))
     return total
+
+
+# --- reading order: every region re-sorted and tried on both axes -------------
+
+
+def _oracle_split_groups(spans, idxs, min_gap):
+    order = sorted(idxs, key=spans.__getitem__)
+    groups = []
+    current = [order[0]]
+    reach = spans[order[0]][1]
+    for i in order[1:]:
+        start, end = spans[i]
+        if start - reach >= min_gap:
+            groups.append(current)
+            current = [i]
+        else:
+            current.append(i)
+        reach = max(reach, end)
+    groups.append(current)
+    return groups if len(groups) > 1 else None
+
+
+def oracle_xy_cut_order(boxes, cfg=None):
+    """The XY-cut as first written: each region tries rows, then columns, then
+    ``fallback_sort``, even on the axis that cut it out (where no gap can be)."""
+    cfg = cfg or OrderConfig()
+    rows = [(b.y_min, b.y_max) for b in boxes]
+    cols = [(b.x_min, b.x_max) for b in boxes]
+    out = []
+    stack = [list(range(len(boxes)))]
+    while stack:
+        idxs = stack.pop()
+        if len(idxs) <= 1:
+            out.extend(idxs)
+            continue
+        groups = _oracle_split_groups(rows, idxs, cfg.min_gap)
+        if groups is None:
+            groups = _oracle_split_groups(cols, idxs, cfg.min_gap)
+        if groups is None:
+            local = fallback_sort([boxes[i] for i in idxs], cfg.y_tolerance)
+            out.extend(idxs[k] for k in local)
+        else:
+            stack.extend(reversed(groups))
+    return out
 
 
 # --- decoding: every part checked by isinstance, every path formatted ----------

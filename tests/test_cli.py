@@ -9,13 +9,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from docrec import cli
 from docrec.cli import main
 from docrec.model import document_from_dict, document_to_dict, validate_document
-from helpers import random_corpus, staircase_boxes
+from helpers import random_corpus, random_document, staircase_boxes
+from oracles import oracle_text_lines_from_value
+from test_model import _REPLACEMENTS, _mutated  # the mutations the decoders' reference test makes
 
 FIXTURE_GT = "tests/fixtures/gt.jsonl"
 FIXTURE_PRED = "tests/fixtures/pred.jsonl"
@@ -384,6 +386,38 @@ def test_gtgen_lines_messages_are_pinned(tmp_path, capsys, lines, message):
     path.write_text(json.dumps({**_GTGEN_PAGE, "lines": lines}) + "\n", encoding="utf-8")
     assert main(["gtgen", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:1{message}\n"
+
+
+def _is_json(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("replacement", [r for r in _REPLACEMENTS if _is_json(r)], ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_gtgen_names_a_bad_line_at_the_reference_decoders_path(replacement, seed, data):
+    """``cli._gtgen``'s ``where`` and the fault path below it make the reference decoder's message."""
+    doc = document_to_dict(random_document(random.Random(seed), 1, 5))
+    lines = [line for el in doc["elements"] for line in el["content"].get("lines", [])]
+    mutated = _mutated(lines, replacement, data)
+    assume(_is_json(mutated))  # NaN and the infinities are not JSON: the loader rejects them first
+    lines = json.loads(json.dumps(mutated))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.jsonl"
+        path.write_text(json.dumps({**_GTGEN_PAGE, "lines": lines}) + "\n", encoding="utf-8")
+        try:
+            oracle_text_lines_from_value(lines, f"{path}:1.lines")
+        except ValueError as exc:
+            expected = (1, f"error: {exc}\n")
+        else:
+            expected = (0, "")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert (main(["gtgen", str(path)]), err.getvalue()) == expected
 
 
 _PAGE = json.dumps(

@@ -190,11 +190,18 @@ _ED_TEXT = st.lists(
 ).map("".join)
 
 
-@example("a\ud800b", "ab")
-@example("ab" * 40 + "\U0001F600", "ba" * 45)
-@given(_ED_TEXT, _ED_TEXT)
-def test_edit_distance_matches_naive_oracle_on_tricky_text(a, b):
-    assert edit_distance(a, b) == naive_edit_distance(a, b)
+#: A prefix or suffix both strings share, which ``edit_distance`` trims before its pass.
+_AFFIX = st.lists(st.sampled_from(["a", "b", "é", "\U0001F600", "\ud800"]), max_size=40).map("".join)
+
+
+@example("a\ud800b", "ab", "", "")
+@example("ab" * 40 + "\U0001F600", "ba" * 45, "", "")
+@example("", "a", "a", "a")  # "aa" against "aaa": the prefix takes all of "aa", leaving no suffix
+@example("x", "", "a" * 70, "b" * 70)
+@given(_ED_TEXT, _ED_TEXT, _AFFIX, _AFFIX)
+def test_edit_distance_matches_naive_oracle_on_tricky_text(a, b, prefix, suffix):
+    a, b = prefix + a + suffix, prefix + b + suffix
+    assert edit_distance(a, b) == edit_distance(b, a) == naive_edit_distance(a, b)
 
 
 @given(st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10))

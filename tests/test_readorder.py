@@ -1,10 +1,14 @@
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from docrec.model import BoundingBox
 from docrec.readorder import OrderConfig, fallback_sort, xy_cut_order
 from helpers import staircase_boxes
+from oracles import oracle_xy_cut_order
 
 
 def box(x0, y0, x1, y1):
@@ -135,3 +139,28 @@ def test_deeply_nested_cuts():
     perm = list(range(len(boxes)))
     random.Random(5).shuffle(perm)
     assert [perm[i] for i in xy_cut_order([boxes[i] for i in perm])] == list(range(len(boxes)))
+
+
+# Coordinates on a 5-pixel grid make ties and touching edges common; free
+# floats make them rare. Corners may come in either order.
+_COORD = st.one_of(st.integers(0, 40).map(lambda v: v * 5.0), st.floats(0, 200, allow_nan=False))
+_BOXES = st.lists(st.builds(BoundingBox, _COORD, _COORD, _COORD, _COORD), max_size=24)
+
+
+@given(_BOXES, st.sampled_from([1, 5, 5.0, 12.5]), st.sampled_from([0, 10]))
+def test_xy_cut_order_matches_the_oracle(boxes, min_gap, y_tolerance):
+    cfg = OrderConfig(min_gap=min_gap, y_tolerance=y_tolerance)
+    assert xy_cut_order(boxes, cfg) == oracle_xy_cut_order(boxes, cfg)
+
+
+def test_deep_staircase_runs_at_least_twice_as_fast_as_the_oracle():
+    boxes = staircase_boxes(4000)
+    started = time.perf_counter()
+    expected = oracle_xy_cut_order(boxes)
+    oracle_s = time.perf_counter() - started
+    runs = []
+    for _ in range(3):  # the best of 3, so that one slow run on a busy host does not count
+        started = time.perf_counter()
+        assert xy_cut_order(boxes) == expected
+        runs.append(time.perf_counter() - started)
+    assert min(runs) * 2 <= oracle_s and min(runs) < 30, (min(runs), oracle_s)
