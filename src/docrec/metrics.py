@@ -41,17 +41,43 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(inter / union) if union > 0 else float(a == b)
 
 
+def _require_finite(boxes: Sequence[BoundingBox]) -> None:
+    """Raise ``iou``'s ValueError for the first box with a NaN or infinite coordinate."""
+    for box in boxes:
+        try:
+            if 0.0 * box.x_min + 0.0 * box.y_min + 0.0 * box.x_max + 0.0 * box.y_max == 0.0:
+                continue
+        except OverflowError:  # an int beyond the float range, which is finite
+            pass
+        exact_boxes((box,))
+
+
+#: Half-width of the first diagonal band ``edit_distance`` fills.
+_BAND = 256
+#: Columns per step of the band's window.
+_CHUNK = 128
+
+
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit costs over Unicode code points.
 
-    Myers' bit-vector algorithm (1999) in Hyyrö's form for global edit
-    distance: bit i of ``vp``/``vn`` says whether the DP column grows or
-    shrinks between rows i and i + 1 of the longer string, so one pass over
-    the shorter string updates a whole column with a few big-int operations.
-    Bits above the longer string's length hold junk; carries and shifts only
-    move upward, so it never reaches the bits that count. A shared prefix and
-    suffix are trimmed first: the distance of p + x + s and p + y + s is that
-    of x and y.
+    A shared prefix and suffix are trimmed first: the distance of p + x + s
+    and p + y + s is that of x and y. Then Myers' bit-vector algorithm (1999)
+    in Hyyrö's form runs over a diagonal band only (Ukkonen 1985; Hyyrö
+    2003). With the longer string's m characters down the rows, the shorter
+    one's along the columns and δ their length difference, the band is every
+    cell (i, j) with -k <= i - j <= k + δ. A path that leaves it needs at
+    least k + 1 insertions or deletions to get out and k + δ + 1 to come
+    back, so it costs at least 2k + δ + 2. A pass returns the cost d of some
+    path, at most that of the cheapest path inside the band; so if d <=
+    2k + δ + 1, the cheapest path of all lies in the band, and d is the
+    distance. The first pass takes k = ``_BAND``. If it does not certify its
+    d, a second pass with k = (d - δ) // 2 always does, since then
+    2k + δ + 2 > d, which is at least the distance. A first band that would
+    be half the column or more (2k + δ + ``_CHUNK`` >= m // 2) would save
+    little and risk a second pass, so it is the whole column (k = m) at once.
+    The second band stays a band however wide it is: it is never more work
+    than the whole column.
     """
     if a == b:
         return 0
@@ -72,22 +98,62 @@ def edit_distance(a: str, b: str) -> int:
     for ch in a:
         peq[ch] = peq.get(ch, 0) | bit
         bit <<= 1
-    top = bit >> 1
-    mask = bit - 1
-    vp, vn, dist = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | (mask ^ (d0 | vp))
-        hn = vp & d0
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
-        x = (hp << 1) | 1
-        vn = x & d0
-        vp = ((hn << 1) | (mask ^ (x | d0))) & mask
-    return dist
+    m, delta = len(a), len(a) - len(b)
+    k = _BAND
+    if 2 * k + delta + _CHUNK >= m // 2:
+        return _band_pass(peq, b, m, m, delta)
+    d = _band_pass(peq, b, m, k, delta)
+    if d <= 2 * k + delta + 1:
+        return d
+    return _band_pass(peq, b, m, (d - delta) // 2, delta)
+
+
+def _band_pass(peq: dict[str, int], b: str, m: int, k: int, delta: int) -> int:
+    """The cost of a path from (0, 0) to (m, len(b)), at most that of the
+    cheapest one inside ``edit_distance``'s band of half-width ``k``.
+
+    ``peq[ch]`` has bit i set where row i of the longer string holds ch. The
+    columns go in chunks of ``_CHUNK``; each chunk fills a fixed window of DP
+    rows lo to hi that covers the band on the chunk's columns and on the
+    column before them. Bit t of ``vp``/``vn`` says that the DP column grows
+    or shrinks between rows lo + t and lo + t + 1, and row lo grows by 1 on
+    each column, as if the cells above it were out of reach. When the window
+    slides down, the rows that leave at the top add their steps to ``base``,
+    the value at row lo, and the rows that enter at the bottom start with a
+    step of +1. Every value so filled is the cost of a real path, and on a
+    band cell it is at most the cost of the cheapest path to it inside the
+    band, whose cells all lie in the window. Bits above the window hold junk:
+    carries and shifts only move upward, so it never reaches the bits that
+    count, and it is cleared once per chunk.
+    """
+    chunk = _CHUNK
+    lo = hi = mask = vp = vn = 0
+    base = len(b)  # row lo grows by 1 on each column
+    window: dict[str, int] = {}
+    for j in range(0, len(b), chunk):
+        vp &= mask
+        vn &= mask
+        top, bottom = max(0, j - k), min(m, j + chunk + k + delta)
+        if top != lo or bottom != hi:
+            gone = (1 << (top - lo)) - 1
+            base += (vp & gone).bit_count() - (vn & gone).bit_count()
+            vp >>= top - lo
+            vn >>= top - lo
+            kept = (1 << (hi - top)) - 1
+            lo, hi = top, bottom
+            mask = (1 << (hi - lo)) - 1
+            vp |= mask ^ kept
+            window = peq if hi - lo == m else {}  # the whole column needs no slicing
+        cols = b[j:j + chunk]
+        for ch in set(cols).difference(window):
+            window[ch] = (peq.get(ch, 0) >> lo) & mask
+        for eq in map(window.__getitem__, cols):
+            d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+            hp = vn | (mask ^ (d0 | vp))
+            x = (hp << 1) | 1
+            vn = x & d0
+            vp = ((vp & d0) << 1) | (mask ^ (x | d0))
+    return base + (vp & mask).bit_count() - (vn & mask).bit_count()
 
 
 def location_cost(gt: Element, pred: Element) -> float:
@@ -174,6 +240,11 @@ def document_distance(gt: Document, pred: Document) -> float:
     cost never raises a rounded DP value, because ``min`` and ``fl(x + c)``
     are monotone, so it is at most the full DP's; and it is the rounded sum
     of exact costs along one path, which the full DP cannot undercut.
+
+    A pair of boxes that share no area has IoU 0, unless they are one
+    zero-area box twice (IoU 1), so its location cost is priced without
+    ``iou``. Each box is checked once instead, and a NaN or infinite
+    coordinate raises ``iou``'s ValueError wherever its box is.
     """
     k = len(gt.elements)
     kt = len(pred.elements)
@@ -181,7 +252,19 @@ def document_distance(gt: Document, pred: Document) -> float:
         return float(max(k, kt))
     gt_texts = [element_text(g) for g in gt.elements]
     pred_texts = [element_text(p) for p in pred.elements]
-    loc = [[location_cost(g, p) for p in pred.elements] for g in gt.elements]
+    _require_finite([e.bbox for e in gt.elements] + [e.bbox for e in pred.elements])
+    loc = []
+    for g in gt.elements:
+        a = g.bbox
+        row = []
+        for p in pred.elements:
+            b = p.bbox
+            if (a.x_min < b.x_max and b.x_min < a.x_max and a.y_min < b.y_max and b.y_min < a.y_max
+                    or a.x_min == b.x_min and a == b):
+                row.append(location_cost(g, p))
+            else:  # no common area, and not one zero-area box twice: IoU 0
+                row.append(0.5 if g.category is p.category else 1.0)
+        loc.append(row)
     cost = [
         [
             (loc[i][j] + (abs(len(a) - len(b)) / max(len(a), len(b)) if a or b else 0.0)) / 2.0

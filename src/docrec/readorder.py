@@ -71,16 +71,21 @@ def _split_groups(
     are closed intervals, so touching boxes never split. Returns None when
     the projection has no qualifying gap. Each group is a maximal gap-free
     run of the sorted order, so splitting a group again on this axis fails.
+    The reach covers each span's start as well as its end, so equal spans
+    share a group even when their corners are out of order (high < low),
+    and the groups do not depend on input order.
     """
     order = sorted(idxs, key=spans.__getitem__)
     cuts = [0]
-    reach = spans[order[0]][1]
+    reach = max(spans[order[0]])
     for k in range(1, len(order)):
         start, end = spans[order[k]]
         if start - reach >= min_gap:
             cuts.append(k)
         if end > reach:
             reach = end
+        if start > reach:
+            reach = start
     if len(cuts) == 1:
         return None
     cuts.append(len(order))

@@ -43,6 +43,56 @@ def naive_edit_distance(a: str, b: str) -> int:
     return rec(0, 0)
 
 
+def oracle_edit_distance(a: str, b: str) -> int:
+    """The full-width Myers pass, as ``metrics.edit_distance`` ran before its band: the
+    reference for strings too long for ``naive_edit_distance``.
+
+    Myers' bit-vector algorithm (1999) in Hyyrö's form for global edit
+    distance: bit i of ``vp``/``vn`` says whether the DP column grows or
+    shrinks between rows i and i + 1 of the longer string, so one pass over
+    the shorter string updates a whole column with a few big-int operations.
+    Bits above the longer string's length hold junk; carries and shifts only
+    move upward, so it never reaches the bits that count. A shared prefix and
+    suffix are trimmed first: the distance of p + x + s and p + y + s is that
+    of x and y.
+    """
+    if a == b:
+        return 0
+    n = min(len(a), len(b))
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    a, b = a[lo:len(a) - hi], b[lo:len(b) - hi]
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    top = bit >> 1
+    mask = bit - 1
+    vp, vn, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | (mask ^ (d0 | vp))
+        hn = vp & d0
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        x = (hp << 1) | 1
+        vn = x & d0
+        vp = ((hn << 1) | (mask ^ (x | d0))) & mask
+    return dist
+
+
 def oracle_iou(a, b) -> float:
     """IoU by its formula; int zeros keep int boxes in exact integer arithmetic.
 
@@ -308,7 +358,7 @@ def _oracle_split_groups(spans, idxs, min_gap):
     order = sorted(idxs, key=spans.__getitem__)
     groups = []
     current = [order[0]]
-    reach = spans[order[0]][1]
+    reach = max(spans[order[0]])
     for i in order[1:]:
         start, end = spans[i]
         if start - reach >= min_gap:
@@ -316,7 +366,7 @@ def _oracle_split_groups(spans, idxs, min_gap):
             current = [i]
         else:
             current.append(i)
-        reach = max(reach, end)
+        reach = max(reach, start, end)
     groups.append(current)
     return groups if len(groups) > 1 else None
 

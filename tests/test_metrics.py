@@ -32,7 +32,13 @@ from docrec.model import (
     to_json_value,
 )
 from helpers import corrupt_transcriptions, random_corpus, random_document, perturb_document
-from oracles import naive_edit_distance, oracle_document_distance, oracle_element_cost, oracle_iou
+from oracles import (
+    naive_edit_distance,
+    oracle_document_distance,
+    oracle_edit_distance,
+    oracle_element_cost,
+    oracle_iou,
+)
 
 
 def _para(box, text, page=1000.0):
@@ -136,7 +142,7 @@ def test_a_non_finite_box_raises_wherever_it_is_measured(axis, value):
     # Also where the union stays finite, as for (0, 0, -inf, 5): an inverted box has area 0.
     coords = [0.0, 0.0, 5.0, 5.0]
     coords[axis] = value
-    bad, good = BoundingBox(*coords), BoundingBox(0.0, 0.0, 1.0, 1.0)
+    bad = BoundingBox(*coords)
 
     def page(box):
         return Document(10.0, 10.0, (_fig(box),))
@@ -148,11 +154,13 @@ def test_a_non_finite_box_raises_wherever_it_is_measured(axis, value):
     def assign(element_box, line_box):
         return associate_lines([(Category.PARAGRAPH, element_box)], [TextLine(line_box, "x")])
 
-    for call in (iou, cost, lambda a, b: document_distance(page(a), page(b)), assign):
-        for args in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError) as err:
-                call(*args)
-            assert f"box {bad} has a non-finite coordinate" in str(err.value)
+    # The far box shares no area with the bad one, whatever the bad coordinate is.
+    for good in (BoundingBox(0.0, 0.0, 1.0, 1.0), BoundingBox(100.0, 100.0, 101.0, 101.0)):
+        for call in (iou, cost, lambda a, b: document_distance(page(a), page(b)), assign):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError) as err:
+                    call(*args)
+                assert f"box {bad} has a non-finite coordinate" in str(err.value)
 
 
 def test_iou_measures_an_int_beyond_the_float_range_next_to_floats():
@@ -202,6 +210,116 @@ _AFFIX = st.lists(st.sampled_from(["a", "b", "é", "\U0001F600", "\ud800"]), max
 def test_edit_distance_matches_naive_oracle_on_tricky_text(a, b, prefix, suffix):
     a, b = prefix + a + suffix, prefix + b + suffix
     assert edit_distance(a, b) == edit_distance(b, a) == naive_edit_distance(a, b)
+
+
+@st.composite
+def _edited(draw, text):
+    """``text`` after a few drawn insertions, deletions and substitutions."""
+    out = list(text)
+    for at, op, ch in draw(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2), _AFFIX), max_size=6)):
+        at %= len(out) + 1
+        if op == 0:
+            out[at:at] = ch
+        elif at < len(out):
+            out[at:at + 1] = ch if op == 1 else ""
+    return "".join(out)
+
+
+_ED_PAIR = _ED_TEXT.flatmap(lambda a: st.tuples(st.just(a), _ED_TEXT | _edited(a)))
+
+
+@example(("ab" * 40 + "\U0001F600", "ba" * 45), "", "", 1, 1)
+@example(("a" * 60, "b" * 60), "", "", 5, 5)
+@example(("abc" * 30, "abc" * 20), "x", "y", 2, 3)
+# Each needs the window's first and last rows: with one row fewer at the top
+# or at the bottom, a pass returns too much and still certifies it.
+@example(("babbaaaabbaaabaa", "bbbaaaabbbabababaa"), "", "", 1, 1)
+@example(("abaaaaabbbabaaaaaaa", "bbbbabaaaaaabbaa"), "", "", 1, 2)
+# The first pass returns 2k + δ + 3, one more than the distance.
+@example(("aaabababbabaaabbbabaa", "aababaaaaababbabbaba"), "", "", 2, 2)
+@settings(max_examples=400)
+@given(_ED_PAIR, _AFFIX, _AFFIX, st.integers(1, 5), st.integers(1, 5))
+def test_edit_distance_matches_naive_oracle_in_narrow_bands(pair, prefix, suffix, band, chunk):
+    """The first band and the window step cut to 1-5, so that short strings
+    run the sliding window, the second pass and the full-width switch."""
+    a, b = (prefix + text + suffix for text in pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BAND", band)
+        patch.setattr(metrics, "_CHUNK", chunk)
+        assert edit_distance(a, b) == edit_distance(b, a) == naive_edit_distance(a, b)
+
+
+def _planted(rng, text, edits, alphabet):
+    """``text`` with ``edits`` insertions, deletions and substitutions at random places."""
+    out = list(text)
+    for _ in range(edits):
+        at = rng.randrange(len(out) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            out.insert(at, rng.choice(alphabet))
+        elif at < len(out):
+            if op == 1:
+                del out[at]
+            else:
+                out[at] = rng.choice(alphabet)
+    return "".join(out)
+
+
+def _long_pairs():
+    """Pairs of 1k-13k characters: near and far, substituted densely, of very unequal length, and with
+    nothing in common."""
+    rng = random.Random(2003)
+    alphabet = "abcdefghij <>|#\n中é\U0001F600"
+    words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9))) for _ in range(300)]
+
+    def text(n):
+        out = ""
+        while len(out) < n:
+            out += rng.choice(words) + " "
+        return out[:n]
+
+    page = text(12900)
+    dense = list(page)
+    for at in rng.sample(range(len(dense)), 5000):
+        dense[at] = "Σ"
+    return [
+        (page, _planted(rng, page, 200, alphabet)),
+        (page, _planted(rng, page, 3000, alphabet)),
+        (page, "".join(dense)),
+        (page, text(12900)),
+        (page, text(3000)),
+        (page, page[4000:5000]),
+        (page[:1000], _planted(rng, page[:1000], 40, alphabet)),
+        (page[:6000], _planted(rng, page[:6000], 20, alphabet) + text(2500)),
+        (text(2000) + page[:9000], _planted(rng, page[:9000], 30, alphabet)),
+        ("".join(rng.choice("ab") for _ in range(8000)), "".join(rng.choice("ab") for _ in range(7000))),
+        (text(3000), "ΣΩ" * 1200),  # no common character: the distance is the longer length
+    ]
+
+
+def test_edit_distance_matches_the_full_width_kernel_on_long_strings():
+    for a, b in _long_pairs():
+        assert edit_distance(a, b) == edit_distance(b, a) == oracle_edit_distance(a, b), (len(a), len(b))
+
+
+def test_edit_distance_runs_at_most_two_passes(monkeypatch):
+    bands = []
+    band_pass = metrics._band_pass
+
+    def counted(peq, b, m, k, delta):
+        bands.append(k)
+        return band_pass(peq, b, m, k, delta)
+
+    monkeypatch.setattr(metrics, "_band_pass", counted)
+    rng = random.Random(1985)
+    page = "".join(rng.choice("abcdefgh \n") for _ in range(12900))
+    near = _planted(rng, page, 200, "xyz")
+    assert edit_distance(page, near) == oracle_edit_distance(page, near)
+    assert bands == [metrics._BAND]  # 200 edits fit the first band's certificate
+    for a, b in _long_pairs():
+        bands.clear()
+        edit_distance(a, b)
+        assert 1 <= len(bands) <= 2, (len(a), len(b), bands)
 
 
 @given(st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10), st.text(alphabet="abc", max_size=10))
@@ -359,6 +477,71 @@ def test_document_distance_bounds_its_rounds(monkeypatch):
     monkeypatch.setattr(metrics, "_accumulate", counted)
     assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
     assert len(rounds) <= 16
+
+
+def test_document_distance_never_measures_iou_on_disjoint_boxes(monkeypatch):
+    boxes = [
+        BoundingBox(0, 0, 10, 10),
+        BoundingBox(5, 5, 15, 15),  # overlaps the first
+        BoundingBox(10, 0, 20, 10),  # touches the first at x = 10: no common area
+        BoundingBox(50, 50, 50, 60),  # zero area: IoU 1 with itself
+        BoundingBox(60, 60, 55, 70),  # inverted
+        BoundingBox(0.0, 100.0, 10.0, 110.0),
+    ]
+    gt = _doc(*(_para(b, "ab") for b in boxes))
+    pred = _doc(*(_fig(b) for b in reversed(boxes)))
+    expected = _unpruned_document_distance(gt, pred)
+    calls = []
+    measure = metrics.iou
+    monkeypatch.setattr(metrics, "iou", lambda a, b: calls.append((a, b)) or measure(a, b))
+    assert document_distance(gt, pred).hex() == expected.hex()
+    overlapping = [
+        (a, b) for a in boxes for b in reversed(boxes)
+        if a.x_min < b.x_max and b.x_min < a.x_max and a.y_min < b.y_max and b.y_min < a.y_max or a == b
+    ]
+    assert calls == overlapping
+    # Of 36 pairs: each box with itself, the zero-area and inverted ones too, and
+    # the second box with the first and the third, each way.
+    assert len(calls) == 6 + 4
+
+
+def _page_of(boxes, texts):
+    return _doc(*(_para(b, t) if t is not None else _fig(b) for b, t in zip(boxes, texts)), page=100.0)
+
+
+def _pages(coords, max_size=4):
+    """Pages of 1 to ``max_size`` elements whose boxes take their corners, in either order, from ``coords``."""
+    boxes = st.builds(BoundingBox, coords, coords, coords, coords)
+    page = st.lists(st.tuples(boxes, st.none() | st.sampled_from(["", "ab", "b"])), min_size=1, max_size=max_size)
+    return page.map(lambda items: _page_of(*zip(*items)))
+
+
+# Equal corners make zero-area boxes; 10**20 is an int next to float coordinates.
+_SMALL_COORDS = st.sampled_from([0, 1, 5, 10, 0.0, 2.5, 5.0, -3.0, 10**20, 1e150])
+# Ints beyond the float range, on pages of ints only: the oracle measures them exactly,
+# but cannot subtract a float from one.
+_INT_COORDS = st.sampled_from([0, 1, 5, -7, 10**20, 10**400, -(10**400)])
+
+
+@example(
+    (_page_of([BoundingBox(5, 5, 5, 5), BoundingBox(0, 0, 10, 10)], ["ab", None]),
+     _page_of([BoundingBox(5.0, 5.0, 5.0, 5.0)], [None]))
+)
+@settings(max_examples=300)
+@given(st.sampled_from([_SMALL_COORDS, _INT_COORDS]).flatmap(lambda coords: st.tuples(_pages(coords), _pages(coords))))
+def test_document_distance_is_bit_identical_to_the_oracle_on_odd_boxes(pages):
+    gt, pred = pages
+    assert document_distance(gt, pred).hex() == oracle_document_distance(gt, pred).hex()
+
+
+# Areas that overflow the float range, which the oracle cannot measure but ``iou`` can.
+_HUGE_COORDS = st.sampled_from([0.0, 1.0, -1e308, 1e308, 5e307])
+
+
+@settings(max_examples=200)
+@given(_pages(_HUGE_COORDS, 6), _pages(_HUGE_COORDS, 6))
+def test_document_distance_is_bit_identical_to_unpruned_dp_on_huge_boxes(gt, pred):
+    assert document_distance(gt, pred).hex() == _unpruned_document_distance(gt, pred).hex()
 
 
 def test_document_distance_charges_each_element_against_an_empty_page():

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from docrec.model import BoundingBox
@@ -151,6 +151,24 @@ _BOXES = st.lists(st.builds(BoundingBox, _COORD, _COORD, _COORD, _COORD), max_si
 def test_xy_cut_order_matches_the_oracle(boxes, min_gap, y_tolerance):
     cfg = OrderConfig(min_gap=min_gap, y_tolerance=y_tolerance)
     assert xy_cut_order(boxes, cfg) == oracle_xy_cut_order(boxes, cfg)
+
+
+_SIX_FIGURES = [box(60, 10, 20, 0), box(20, 60, 10, 20), box(60, 60, 60, 0), box(10, 60, 20, 20), box(0, 0, 40, 40), box(0, 20, 0, 40)]
+
+
+@example((_SIX_FIGURES, [4, 3, 5, 2, 0, 1]), 5, 10)
+@example(([box(10, 0, 0, 10), box(10, 0, 0, 10), box(30, 0, 50, 10)], [1, 0, 2]), 5, 10)
+@given(
+    _BOXES.flatmap(lambda boxes: st.tuples(st.just(boxes), st.permutations(range(len(boxes))))),
+    st.sampled_from([1, 5, 12.5]),
+    st.sampled_from([0, 10]),
+)
+def test_xy_cut_order_does_not_depend_on_input_order(boxes_and_perm, min_gap, y_tolerance):
+    """Also where corners come out of order, so that a span's high end lies below its low one."""
+    boxes, perm = boxes_and_perm
+    cfg = OrderConfig(min_gap=min_gap, y_tolerance=y_tolerance)
+    shuffled = [boxes[i] for i in perm]
+    assert [shuffled[i] for i in xy_cut_order(shuffled, cfg)] == [boxes[i] for i in xy_cut_order(boxes, cfg)]
 
 
 def test_deep_staircase_runs_at_least_twice_as_fast_as_the_oracle():
