@@ -21,38 +21,29 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
-    DEFAULT_BINS,
     Document,
+    check_page,
     document_from_dict,
     document_to_dict,
     text_lines_from_value,
     to_json_value,
     validate_document,
 )
-from .seqformat import check_grid, scan_tokens
+from .seqformat import DEFAULT_BINS, check_grid, scan_tokens
 from .seqformat import parse as parse_tokens
 
 def _round_floats(value: Any) -> Any:
     """Fix every float in a JSON-ready payload at 4 decimals for stable diffs."""
-    kind = type(value)  # the exact types first, then subclasses; a bool stays as it is
+    kind = type(value)  # payloads hold no subclasses (json.loads, to_json_value); a bool stays
     if kind is float:  # an integral float, as pixel coordinates often are, is its own rounding
         return value if value.is_integer() else round(value, 4)
     if kind is list:
         return [_round_floats(v) for v in value]
     if kind is dict:
-        return {k: _round_floats(v) for k, v in value.items()}
-    if kind is str or kind is int:
-        return value
-    if isinstance(value, float):
-        return round(value, 4)
-    if isinstance(value, list):
-        return [_round_floats(v) for v in value]
-    if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
     return value
 
@@ -295,10 +286,8 @@ def _build_options(args: argparse.Namespace) -> None:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if "bins" in args:
         check_grid(args.bins)
-    for flag in ("page_width", "page_height"):
-        value = getattr(args, flag, 1.0)
-        if not 0 < value < math.inf:
-            raise ValueError(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
+    if "page_width" in args:
+        check_page(args.page_width, args.page_height)
     if "min_gap" in args:
         from .readorder import OrderConfig
 

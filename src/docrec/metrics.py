@@ -25,14 +25,12 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     A union floats cannot hold is measured on ``exact_boxes`` copies: the true
     ratio, rounded once. A NaN or infinite coordinate raises ValueError naming
     its box, whatever the union."""
+    _require_finite((a, b))
     try:
-        # 0.0 * v is 0.0 for a finite v and NaN for an infinity or a NaN.
-        if (0.0 * a.x_min + 0.0 * a.y_min + 0.0 * a.x_max + 0.0 * a.y_max
-                + 0.0 * b.x_min + 0.0 * b.y_min + 0.0 * b.x_max + 0.0 * b.y_max == 0.0):
-            inter = a.intersection_area(b)
-            union = a.area + b.area - inter
-            if math.isfinite(union):
-                return inter / union if union > 0 else float(a == b)
+        inter = a.intersection_area(b)
+        union = a.area + b.area - inter
+        if math.isfinite(union):
+            return inter / union if union > 0 else float(a == b)
     except OverflowError:  # an int beyond the float range
         pass
     a, b = exact_boxes((a, b))
@@ -42,9 +40,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _require_finite(boxes: Sequence[BoundingBox]) -> None:
-    """Raise ``iou``'s ValueError for the first box with a NaN or infinite coordinate."""
+    """Raise ``exact_boxes``'s ValueError for the first box with a NaN or infinite coordinate."""
     for box in boxes:
-        try:
+        try:  # 0.0 * v is 0.0 for a finite v and NaN for an infinity or a NaN
             if 0.0 * box.x_min + 0.0 * box.y_min + 0.0 * box.x_max + 0.0 * box.y_max == 0.0:
                 continue
         except OverflowError:  # an int beyond the float range, which is finite

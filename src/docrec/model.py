@@ -3,7 +3,9 @@
 Values are immutable value classes (``value``). Constructors deliberately do NOT
 enforce the geometric/semantic invariants; ``validate_document`` reports
 violations instead, so invalid inputs can be loaded, inspected and
-diagnosed rather than rejected at construction time.
+diagnosed rather than rejected at construction time. ``check_page`` is the one
+page-size rule, which ``validate_document`` reports and ``seqformat.parse`` and
+the CLI raise. The coordinate grid, ``DEFAULT_BINS`` included, is ``seqformat``'s.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ import re
 import sys
 from enum import Enum
 from typing import Any, Callable, Sequence
-
-#: Default number of coordinate bins per axis of ``seqformat``'s grid. Coordinates
-#: are normalized by the page dimension, so the grid is resolution-independent.
-DEFAULT_BINS = 1000
 
 #: Most digits ``int`` and ``str`` convert between (4,300 by default); 0 for no limit.
 MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -207,13 +205,19 @@ def _check_text(text: str, where: str, out: list[str]) -> None:
             out.append(f"{where}: text contains reserved token {token!r}")
 
 
+def check_page(width: float, height: float) -> None:
+    """The one rule for a page's size: ValueError unless both sides are positive and finite."""
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError(f"page dimensions must be positive and finite, got {width}x{height}")
+
+
 def validate_document(doc: Document) -> list[str]:
     """Return every invariant violation in ``doc``; empty list means valid."""
     problems: list[str] = []
-    if not (0 < doc.page_width < math.inf and 0 < doc.page_height < math.inf):
-        problems.append(
-            f"page dimensions must be positive and finite, got {doc.page_width}x{doc.page_height}"
-        )
+    try:
+        check_page(doc.page_width, doc.page_height)
+    except ValueError as exc:
+        problems.append(str(exc))
     w, h = doc.page_width, doc.page_height
     for i, el in enumerate(doc.elements):
         where = f"element {i}"

@@ -21,6 +21,10 @@ A token is a plain value:
                      "<Table>", "<Formula>", "<Figure>", "<Sep>", "<\\n>" (the
                      line separator), "<tr>", "</tr>", "</td>", and "<td>" with
                      optional spans, as in '<td rowspan="2" colspan="3">'.
+
+The grid has ``DEFAULT_BINS`` bins per axis unless a call names another;
+``check_grid`` is its one rule. ``parse`` checks the page size with
+``model.check_page`` before it reads a token.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import sys
 from enum import Enum
 
 from .model import (
-    DEFAULT_BINS,
     INT_STR_LIMIT,
     MAX_INT_DIGITS,
     BoundingBox,
@@ -45,10 +48,14 @@ from .model import (
     TableCell,
     TableContent,
     TextLine,
+    check_page,
     validate_document,
     value,
 )
 
+#: Default number of coordinate bins per axis of the grid. Coordinates are
+#: normalized by the page dimension, so the grid is resolution-independent.
+DEFAULT_BINS = 1000
 
 #: Quartet order for every bounding box; a coordinate's axis is its place in it.
 AXES = ("Xmin", "Ymin", "Xmax", "Ymax")
@@ -297,13 +304,10 @@ def parse(seq: TokenSequence, page_width: float, page_height: float) -> Document
     first violation, a bin outside ``[0, bins)`` among them; grammatically
     valid sequences whose decoded geometry breaks model invariants still
     parse (validate_document reports those). A page size that is not
-    positive and finite, or a ``seq.bins`` that fails ``check_grid``, raises
-    ValueError before any token is read.
+    positive and finite (``model.check_page``), or a ``seq.bins`` that fails
+    ``check_grid``, raises ValueError before any token is read.
     """
-    if not (0 < page_width < math.inf and 0 < page_height < math.inf):
-        raise ValueError(
-            f"page dimensions must be positive and finite, got {page_width}x{page_height}"
-        )
+    check_page(page_width, page_height)
     check_grid(seq.bins)
     cur = _Cursor(seq, page_width, page_height)
     elements: list[Element] = []

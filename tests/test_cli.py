@@ -1,7 +1,10 @@
 import copy
+import gc
 import io
 import json
+import os
 import random
+import sys
 import tempfile
 import types
 import weakref
@@ -553,7 +556,7 @@ def test_validate_tokens_rejects_non_finite_page_size(tmp_path, capsys, size):
     path = tmp_path / "tokens.txt"
     path.write_text("<Figure><0><0><999><999><Sep>", encoding="utf-8")
     assert main(["validate", str(path), "--format", "tokens", f"--page-width={size}"]) == 2
-    assert "--page-width must be positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: page dimensions must be positive and finite, got {float(size)}x1024.0\n"
 
 
 _COORDS = st.lists(st.floats(), min_size=4, max_size=4)
@@ -817,6 +820,29 @@ def test_each_decoded_line_is_dropped_before_the_next_is_decoded(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", [*_LINE_COMMANDS, "eval"])
+def test_no_document_leaves_a_reference_cycle(tmp_path, capsys, command):
+    """The unreachable objects a run leaves behind (argparse's) do not grow with its documents."""
+    page = _GOLDEN_GTGEN if command == "gtgen" else _GOLDEN_PAGE
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    argv = ["eval", "--gt", str(gt), "--pred", str(pred)] if command == "eval" else [command, str(gt), *_LINE_COMMANDS[command]]
+    counts = []
+    for n in (1, 1, 8):  # the first run pays the command's imports
+        gt.write_text((json.dumps(page) + "\n") * n, encoding="utf-8")
+        pred.write_text((json.dumps(_GOLDEN_PRED) + "\n") * n, encoding="utf-8")
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()  # no collection during the run may take a share of the count
+        try:
+            assert main(argv) == 0
+        finally:
+            if enabled:
+                gc.enable()
+        counts.append(gc.collect())
+    capsys.readouterr()
+    assert counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("command", [*_LINE_COMMANDS, "eval"])
 def test_the_first_failing_line_is_reported_whatever_its_fault(tmp_path, capsys, command):
     # Line 1 lacks the page size; line 2 is not JSON. Line 1 is decoded and run first.
     path = tmp_path / "prec.jsonl"
@@ -915,12 +941,8 @@ def test_mutated_documents_are_bad_input_or_valid_output(data):
         assert str(path) in err.getvalue()
 
 
-class _Float(float):
-    pass
-
-
 def _rounded_plainly(value):
-    """Every float, a float subclass too but never a bool, at 4 decimals; lists and dicts rebuilt."""
+    """Every float, never a bool, at 4 decimals; lists and dicts rebuilt."""
     if isinstance(value, float):
         return round(value, 4)
     if isinstance(value, list):
@@ -932,7 +954,7 @@ def _rounded_plainly(value):
 
 _PAYLOADS = st.recursive(
     st.floats() | st.sampled_from([-0.0, 1e300, 2.0**60, 0.00005, 12.34565])
-    | st.integers() | st.booleans() | st.text(max_size=2) | st.none() | st.floats().map(_Float),
+    | st.integers() | st.booleans() | st.text(max_size=2) | st.none(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=12,
 )
@@ -940,5 +962,54 @@ _PAYLOADS = st.recursive(
 
 @given(_PAYLOADS)
 def test_output_rounding_matches_the_plain_rule_bit_for_bit(payload):
-    # repr tells -0.0 from 0.0 and a float from its subclass, and round-trips every other float.
+    # repr tells -0.0 from 0.0 and round-trips every other float.
     assert repr(cli._round_floats(payload)) == repr(_rounded_plainly(payload))
+
+
+# --- help and usage, pinned ----------------------------------------------------
+
+#: ``main``'s exit code, stdout and stderr for each of ``_USAGE_ARGVS``, at COLUMNS=80 and on
+#: the Python minor named in the file; rewrite it with ``PYTHONPATH=src python tests/test_cli.py``.
+_USAGE_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_usage.json"
+_USAGE_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in ("validate", "eval", "convert", "order", "gtgen")),
+    # One usage error per checked flag. The input does not exist: none is read.
+    ["eval", "--gt", "missing.jsonl", "--pred", "missing.jsonl", "--jobs", "0"],
+    ["validate", "missing.jsonl", "--format", "tokens", "--bins", "1"],
+    ["validate", "missing.jsonl", "--format", "tokens", "--page-width", "0"],
+    ["order", "missing.jsonl", "--min-gap", "0"],
+    ["order", "missing.jsonl", "--y-tolerance", "-1"],
+    ["gtgen", "missing.jsonl", "--iou-threshold", "0"],
+    ["validate", "missing.jsonl", "--page-height", "100"],
+]
+
+
+def _usage(argv):
+    """``[exit code, stdout, stderr]`` of ``main(argv)``; help exits by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=" ".join)
+def test_help_and_usage_errors_are_pinned(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(_USAGE_GOLDEN.read_text(encoding="utf-8"))
+    expected, got = golden["cases"][" ".join(argv)], _usage(argv)
+    if golden["python"] != "%d.%d" % sys.version_info[:2]:
+        # argparse lays help out differently on another minor: keep the exit code and the error lines.
+        expected, got = ([code, [line for line in err.splitlines() if "error:" in line]] for code, _, err in (expected, got))
+    assert got == expected
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    cases = {" ".join(argv): _usage(argv) for argv in _USAGE_ARGVS}
+    _USAGE_GOLDEN.parent.mkdir(exist_ok=True)
+    _USAGE_GOLDEN.write_text(json.dumps({"python": "%d.%d" % sys.version_info[:2], "cases": cases}, indent=1) + "\n",
+                             encoding="utf-8")

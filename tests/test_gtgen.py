@@ -408,3 +408,20 @@ def test_assemble_respects_order_config():
     # A huge tolerance keeps both elements in one band; left-to-right tie on
     # x then top-down order still applies deterministically.
     assert len(result.document.elements) == 2
+
+
+def test_associate_lines_work_grows_at_most_quadratically(monkeypatch):
+    """``intersection_area`` calls at n and 2n columns, every line in one y-band, so that the
+    y-buckets offer every element to every line."""
+    calls = []
+    measure = BoundingBox.intersection_area
+    monkeypatch.setattr(BoundingBox, "intersection_area", lambda a, b: calls.append(1) or measure(a, b))
+    work = []
+    for n in (100, 200):
+        calls.clear()
+        elements = [(Category.PARAGRAPH, box(10.0 * i, 0.0, 10.0 * i + 10, 20.0)) for i in range(n)]
+        lines = [TextLine(box(10.0 * i + 1, 5.0, 10.0 * i + 9, 15.0), "x") for i in range(n)]
+        assert associate_lines(elements, lines) == list(range(n))
+        work.append(len(calls))
+    assert work[0] == 100  # only the pairs that overlap are measured: one per line
+    assert work[1] <= 4.5 * work[0], work

@@ -505,6 +505,31 @@ def test_document_distance_never_measures_iou_on_disjoint_boxes(monkeypatch):
     assert len(calls) == 6 + 4
 
 
+def test_document_distance_work_grows_at_most_quadratically(monkeypatch):
+    """DP cells and ``edit_distance`` calls at n and 2n elements, on two pages with disjoint boxes and
+    texts of one length from disjoint alphabets: every lower bound is below every exact cost."""
+    cells, calls = [], []
+    accumulate, measure = metrics._accumulate, metrics.edit_distance
+    monkeypatch.setattr(metrics, "_accumulate", lambda cost: cells.append(len(cost) * len(cost[0])) or accumulate(cost))
+    monkeypatch.setattr(metrics, "edit_distance", lambda a, b: calls.append(1) or measure(a, b))
+    rng = random.Random(13)
+    work = []
+    for n in (64, 128):
+        cells.clear()
+        calls.clear()
+        gt, pred = (
+            _doc(*(_para(BoundingBox(x, 10.0 * i, x + 100, 10.0 * i + 8), "".join(rng.choices(alphabet, k=20)))
+                   for i in range(n)), page=2000.0)
+            for x, alphabet in ((0.0, "abcdefghij"), (500.0, "klmnopqrst"))
+        )
+        assert document_distance(gt, pred) == 0.75 * n  # the diagonal, each cell (0.5 + 1) / 2
+        assert len(calls) <= n * n
+        work.append((sum(cells), len(calls)))
+    # The rounds grow with n toward their cap (about 17 DP passes), so pages much smaller than 64
+    # elements grow faster than 4.5x per doubling while the cap is not yet reached.
+    assert work[1][0] <= 4.5 * work[0][0] and work[1][1] <= 4.5 * work[0][1], work
+
+
 def _page_of(boxes, texts):
     return _doc(*(_para(b, t) if t is not None else _fig(b) for b, t in zip(boxes, texts)), page=100.0)
 

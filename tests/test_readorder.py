@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from docrec import readorder
 from docrec.model import BoundingBox
 from docrec.readorder import OrderConfig, fallback_sort, xy_cut_order
 from helpers import staircase_boxes
@@ -182,3 +183,17 @@ def test_deep_staircase_runs_at_least_twice_as_fast_as_the_oracle():
         assert xy_cut_order(boxes) == expected
         runs.append(time.perf_counter() - started)
     assert min(runs) * 2 <= oracle_s and min(runs) < 30, (min(runs), oracle_s)
+
+
+def test_xy_cut_work_grows_at_most_quadratically(monkeypatch):
+    """The sizes of the regions ``_split_groups`` sorts, summed, at n and 2n staircase boxes."""
+    sizes = []
+    split = readorder._split_groups
+    monkeypatch.setattr(readorder, "_split_groups", lambda spans, idxs, gap: sizes.append(len(idxs)) or split(spans, idxs, gap))
+    work = []
+    for n in (500, 1000):
+        sizes.clear()
+        assert xy_cut_order(staircase_boxes(n)) == list(range(n))
+        work.append(sum(sizes))
+    # Each nested region is sorted whole: about n * n / 2 today (ROADMAP item 5 aims lower).
+    assert work[1] <= 4.5 * work[0], work
