@@ -84,11 +84,72 @@ class ElementTarget:
             raise ValueError("token ids must be >= 0")
 
 
+def _candidate_cells(matrix: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+    """Cells that an assignment within ``tol`` of the optimum may use: every
+    cell but those a reduced-cost certificate rules out.
+
+    ``cols`` is an optimal assignment. Dual potentials ``u`` (rows) and
+    ``v <= 0`` (columns) come from it by Bellman-Ford: ``u`` prices each row
+    at its own cell, ``v`` lowers a column to its cheapest entry net of
+    ``u``. Once they settle, every reduced cost ``c - u - v`` is >= 0 and 0
+    on the optimum, so any assignment exceeds the optimal total by at least
+    the sum of its reduced costs. An assignment that gives row ``i`` the
+    column ``j`` of another row ``h`` must move ``h`` too, so it exceeds by
+    at least ``r[i, j]`` plus ``h``'s smallest reduced cost off its own
+    cell. A cell is ruled out when that bound exceeds ``tol`` plus a margin
+    for rounding. Duals that do not settle within ``k + 1`` rounds (float
+    near-ties) or are not finite rule out nothing.
+    """
+    k, n = matrix.shape
+    rows = np.arange(k)
+    v = np.zeros(n)
+    for _ in range(k + 1):
+        u = matrix[rows, cols] - v[cols]
+        settled = np.minimum(0.0, (matrix - u[:, None]).min(axis=0))
+        if np.array_equal(settled, v):
+            break
+        v = settled
+    else:
+        return np.ones((k, n), dtype=bool)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        return np.ones((k, n), dtype=bool)
+    reduced = (matrix - u[:, None]) - v
+    own = reduced[rows, cols]
+    reduced[rows, cols] = np.inf
+    displaced = np.zeros(n)
+    displaced[cols] = reduced.min(axis=1)
+    bound = reduced + displaced
+    bound[rows, cols] = own
+    # The margin covers the rounding of the duals, of the bound and of any
+    # row-by-row total; a negative v on a column the optimum leaves unused
+    # would let another assignment gain up to -v there.
+    scale = np.abs(matrix).max() + np.abs(u).max() + np.abs(v).max()
+    margin = 4.0 * (k + 1) ** 2 * np.finfo(float).eps * scale
+    unused = np.ones(n, dtype=bool)
+    unused[cols] = False
+    # Only a bound that compares greater rules a cell out, never a NaN.
+    return ~(bound > tol + margin - v[unused].sum())
+
+
 def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
     """Minimum-total-cost injective assignment of rows (targets) to columns.
 
-    Requires rows <= columns and finite entries. Among equally cheap
-    assignments, the lexicographically smallest assignment vector wins.
+    Requires rows <= columns, finite entries and a finite optimal total.
+    Among equally cheap assignments, the lexicographically smallest
+    assignment vector wins.
+
+    "Equally cheap" means within ``1e-9 * max(1, |optimum|)`` of the
+    optimum. One solver call finds an optimum; then each row in turn, with
+    the earlier rows fixed, moves down to the smallest column that some
+    assignment that cheap gives it. Its candidates are the free columns
+    below its current one that the reduced-cost certificate of
+    ``_candidate_cells`` does not rule out. A swap witness tries them in
+    ascending order: the row takes the candidate and the later row holding
+    it, if any, takes the row's old column; the first witness that cheap
+    moves the row. Only when none is does the descent step re-run the
+    solver with the current column and every larger free one forbidden to
+    the row: a re-solved assignment that cheap moves the row, and any other
+    ends it. A row ends too when no candidate is left.
     """
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -99,25 +160,42 @@ def hungarian_assign(cost: Sequence[Sequence[float]] | np.ndarray) -> list[int]:
     if not np.isfinite(matrix).all():
         raise ValueError("cost matrix entries must be finite")
     rows, cols = linear_sum_assignment(matrix)
-    best = float(matrix[rows, cols].sum())
-    tol = 1e-9 * max(1.0, abs(best))
-    # Descend row by row with the earlier rows fixed: forbid this row its
-    # current column and every larger free one, and take the re-solved
-    # assignment while it stays within tol of the optimum. The row keeps the
-    # smallest column any such assignment allows, so ties resolve to the
-    # lexicographically smallest assignment vector.
-    free = np.arange(n)
-    fixed = 0.0
-    for row in range(k):
-        sub = matrix[row:, free]
-        while (at := int(np.searchsorted(free, cols[row]))) > 0:
-            sub[0, at:] = np.inf
-            r, c = linear_sum_assignment(sub)
-            if fixed + sub[r, c].sum() > best + tol:
-                break
-            cols[row:] = free[c]
-        fixed += float(matrix[row, cols[row]])
-        free = free[free != cols[row]]
+    # Sums of huge entries may overflow: an overflowed or NaN total never
+    # counts as cheap enough, and duals that overflow rule out nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = float(matrix[rows, cols].sum())
+        if not math.isfinite(best):
+            raise ValueError("cost matrix's optimal total is not finite")
+        tol = 1e-9 * max(1.0, abs(best))
+        limit = best + tol
+        allowed = _candidate_cells(matrix, cols, tol)
+        taken = np.zeros(n, dtype=bool)
+        fixed = 0.0
+        for row in range(k):
+            usable = allowed[row] & ~taken
+            sub = None
+            while (candidates := np.flatnonzero(usable[: cols[row]])).size:
+                # Row t of ``trials`` is candidate t's swap witness for rows
+                # row.. on; the first witness cheap enough wins.
+                current = cols[row:]
+                trials = np.tile(current, (candidates.size, 1))
+                trial, holder = np.nonzero(current == candidates[:, None])
+                trials[trial, holder] = current[0]
+                trials[:, 0] = candidates
+                fits = fixed + matrix[rows[row:], trials].sum(axis=1) <= limit
+                if fits.any():
+                    cols[row:] = trials[fits.argmax()]
+                    continue
+                if sub is None:
+                    free = np.flatnonzero(~taken)
+                    sub = matrix[row:, free]
+                sub[0, np.searchsorted(free, cols[row]) :] = np.inf
+                r, c = linear_sum_assignment(sub)
+                if not fixed + sub[r, c].sum() <= limit:
+                    break
+                cols[row:] = free[c]
+            fixed += float(matrix[row, cols[row]])
+            taken[cols[row]] = True
     return [int(c) for c in cols]
 
 

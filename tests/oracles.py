@@ -234,6 +234,35 @@ def oracle_lexicographic_assignment(matrix) -> list[int]:
     return next(list(cols) for cols in _injections(matrix) if _row_order_sum(matrix, cols) <= bound)
 
 
+def oracle_descent_assignment(matrix) -> list[int]:
+    """The same tie rule by plain descent, for matrices too large to
+    enumerate: after one optimal solve, each row in turn, with the earlier
+    rows fixed, is forbidden its current column and every larger free one,
+    and the re-solved assignment is taken while its total stays within
+    1e-9 * max(1, |min|) of the optimum."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    matrix = np.asarray(matrix, dtype=float)
+    k, n = matrix.shape
+    rows, cols = linear_sum_assignment(matrix)
+    best = float(matrix[rows, cols].sum())
+    bound = best + 1e-9 * max(1.0, abs(best))
+    free = np.arange(n)
+    fixed = 0.0
+    for row in range(k):
+        sub = matrix[row:, free]
+        while (at := int(np.searchsorted(free, cols[row]))) > 0:
+            sub[0, at:] = np.inf
+            r, c = linear_sum_assignment(sub)
+            if fixed + sub[r, c].sum() > bound:
+                break
+            cols[row:] = free[c]
+        fixed += float(matrix[row, cols[row]])
+        free = free[free != cols[row]]
+    return [int(c) for c in cols]
+
+
 def oracle_matching_cost(targets, preds):
     """The per-pair matching cost, one ``iou`` call per cell.
 

@@ -13,6 +13,7 @@ from docrec.losses import (
     NUM_CLASSES,
     ElementPrediction,
     ElementTarget,
+    _candidate_cells,
     class_index,
     element_discrimination_loss,
     element_transcription_loss,
@@ -23,6 +24,7 @@ from docrec.losses import (
 )
 from docrec.model import BoundingBox, Category
 from oracles import (
+    oracle_descent_assignment,
     oracle_discrimination_loss,
     oracle_lexicographic_assignment,
     oracle_matching_cost,
@@ -96,6 +98,90 @@ def test_hungarian_domain_errors():
         hungarian_assign([[math.inf]])
     with pytest.raises(ValueError):
         hungarian_assign(np.zeros((0, 3)))
+
+
+@st.composite
+def _repeating_cost_matrices(draw):
+    """Matrices whose rows and columns repeat, so that many assignments tie
+    and most candidate columns are settled by a swap witness."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 6))
+    value = draw(st.sampled_from([st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10, 10)]))
+    distinct = [[draw(value) for _ in range(n)] for _ in range(draw(st.integers(1, k)))]
+    row_of = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=k, max_size=k))
+    col_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return [[distinct[r][c] for c in col_of] for r in row_of]
+
+
+@given(_repeating_cost_matrices())
+def test_hungarian_repeating_rows_and_columns_match_oracle(matrix):
+    assert hungarian_assign(matrix) == oracle_lexicographic_assignment(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # 0.2 + 0.2 and 0.3 + 0.1 tie only up to rounding: the duals chase
+        # that rounding and do not settle.
+        [[0.2, 0.7, 0.3], [0.1, 0.7, 0.2]],
+        # The duals settle at +-inf, and their reduced costs hold NaN.
+        [[0.0, 1e308, -1e308], [0.0, 1.7e308, -1e308], [-1.7e308, 1.7e308, 1.7e308]],
+    ],
+)
+def test_hungarian_without_certificate_matches_oracle(matrix):
+    _, cols = linear_sum_assignment(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _candidate_cells(np.array(matrix), cols, 1e-9).all()  # nothing ruled out
+    assert hungarian_assign(matrix) == oracle_lexicographic_assignment(matrix)
+
+
+def test_hungarian_tolerance_edge_is_not_ruled_out():
+    # Column 0 costs 1 + 1e-9 as a float, 8e-17 more than the tolerance
+    # above the optimum 1.0, yet best + tol rounds to that same float: the
+    # certificate's margin must leave the column to the exact test.
+    assert hungarian_assign([[1.0 + 1e-9, 1.0]]) == oracle_lexicographic_assignment([[1.0 + 1e-9, 1.0]]) == [0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # Every entry is finite, but the optimum 2e308 is not: within its
+        # tolerance every assignment would tie.
+        [[1e308, 1e308, 1.7e308], [1e308, 1.7e308, 1e308]],
+        [[-1e308, -1e308], [-1e308, -1e308]],
+    ],
+)
+def test_hungarian_rejects_an_optimal_total_that_overflows(matrix):
+    with pytest.raises(ValueError, match="optimal total"):
+        hungarian_assign(matrix)
+
+
+def _tied_matrix(seed: int) -> np.ndarray:
+    """A 60 x 100 cost matrix full of ties: each row is one of 4 row
+    vectors of values rounded to 0.1, and 2% of the cells are lowered by a
+    rounded amount."""
+    rng = np.random.default_rng(seed)
+    patterns = np.round(rng.uniform(0, 3, (4, 100)), 1)
+    matrix = patterns[rng.integers(0, 4, 60)]
+    lowered = rng.random((60, 100)) < 0.02
+    return matrix - lowered * np.round(rng.uniform(0.1, 1, (60, 100)), 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hungarian_settles_most_ties_without_the_solver(monkeypatch, seed):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return linear_sum_assignment(matrix)
+
+    matrix = _tied_matrix(seed)
+    monkeypatch.setattr("docrec.losses.linear_sum_assignment", counted)
+    assignment = hungarian_assign(matrix)
+    assert len(calls) <= 30  # a solver call per descent step made 90-97
+    monkeypatch.undo()
+    assert assignment == oracle_descent_assignment(matrix)
 
 
 def _one_hot(index, size):
